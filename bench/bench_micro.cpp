@@ -220,20 +220,54 @@ void BM_VotingConsensus(benchmark::State& state) {
 }
 BENCHMARK(BM_VotingConsensus)->Arg(4)->Arg(16);
 
-void BM_Quantize(benchmark::State& state) {
-  const auto dim = static_cast<std::size_t>(state.range(0));
-  const auto bits = static_cast<std::uint8_t>(state.range(1));
+// BM_Quantize is the quantize+dequantize round trip; the /encode and
+// /decode rows time each half alone.
+std::vector<float> quantize_input(const benchmark::State& state) {
   util::Rng rng(11);
-  std::vector<float> params(dim);
+  std::vector<float> params(static_cast<std::size_t>(state.range(0)));
   for (float& v : params) v = static_cast<float>(rng.normal());
+  return params;
+}
+
+void BM_Quantize(benchmark::State& state) {
+  const auto params = quantize_input(state);
+  const auto bits = static_cast<std::uint8_t>(state.range(1));
   for (auto _ : state) {
     auto q = nn::quantize(params, bits);
     benchmark::DoNotOptimize(nn::dequantize(q));
   }
   state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dim * sizeof(float)));
+                          static_cast<std::int64_t>(params.size() * sizeof(float)));
 }
 BENCHMARK(BM_Quantize)->Args({10000, 8})->Args({10000, 4})->Args({100000, 8});
+
+void BM_QuantizeEncode(benchmark::State& state) {
+  const auto params = quantize_input(state);
+  const auto bits = static_cast<std::uint8_t>(state.range(1));
+  for (auto _ : state) benchmark::DoNotOptimize(nn::quantize(params, bits));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(params.size() * sizeof(float)));
+}
+BENCHMARK(BM_QuantizeEncode)
+    ->Name("BM_Quantize/encode")
+    ->Args({10000, 8})
+    ->Args({10000, 4})
+    ->Args({100000, 8})
+    ->Args({100000, 4});
+
+void BM_QuantizeDecode(benchmark::State& state) {
+  const auto params = quantize_input(state);
+  const auto q = nn::quantize(params, static_cast<std::uint8_t>(state.range(1)));
+  for (auto _ : state) benchmark::DoNotOptimize(nn::dequantize(q));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(params.size() * sizeof(float)));
+}
+BENCHMARK(BM_QuantizeDecode)
+    ->Name("BM_Quantize/decode")
+    ->Args({10000, 8})
+    ->Args({10000, 4})
+    ->Args({100000, 8})
+    ->Args({100000, 4});
 
 // --- src/net wire codec hot path (DESIGN.md §11) ---------------------------
 // The before/after pairs the zero-copy PR is gated on: BM_WireDecode's
@@ -371,6 +405,7 @@ void RegisterWireBenches() {
   const std::vector<Named> encodes = {
       {"BM_WireEncode/dense", {}},
       {"BM_WireEncode/q8", {.bits = 8}},
+      {"BM_WireEncode/q4", {.bits = 4}},
       {"BM_WireEncode/topk10", {.topk10 = true}},
       {"BM_WireEncode/topk10_delta", {.topk10 = true, .delta = true}},
   };
@@ -378,11 +413,13 @@ void RegisterWireBenches() {
       {"BM_WireDecode/dense_copy", {}},
       {"BM_WireDecode/dense_view", {.view = true}},
       {"BM_WireDecode/q8", {.bits = 8}},
+      {"BM_WireDecode/q4", {.bits = 4}},
       {"BM_WireDecode/topk10", {.topk10 = true}},
   };
   const std::vector<Named> rounds = {
       {"BM_WireRound/dense_copy", {}},
       {"BM_WireRound/dense_view", {.view = true}},
+      {"BM_WireRound/q8", {.bits = 8, .view = true}},
       {"BM_WireRound/topk10", {.topk10 = true, .view = true}},
       {"BM_WireRound/topk10_delta", {.topk10 = true, .delta = true, .view = true}},
   };

@@ -92,9 +92,10 @@ T read_pod(std::span<const std::uint8_t> bytes, std::size_t& offset) {
 // Raw dense params reuse the nn/serialize blob unchanged.  Quantized params
 // carry the nn/quantize block format: bits, block, count, per-block
 // (scale, min) pairs, packed codes — exactly QuantizedVec::wire_size()
-// bytes.  Top-k sections prefix either value encoding with k, d and the
-// sorted index list; delta only changes the transmitted values and sets a
-// flag, never the layout.
+// bytes, encoded into and decoded out of the frame by the nn span kernels.
+// Top-k sections prefix either value encoding with k, d and the sorted
+// index list; delta only changes the transmitted values and sets a flag,
+// never the layout.
 
 std::vector<float> read_raw_blob(std::span<const std::uint8_t> body,
                                  std::size_t& offset) {
@@ -135,46 +136,35 @@ std::vector<float> read_raw_blob(std::span<const std::uint8_t> body,
 
 std::vector<float> read_quantized(std::span<const std::uint8_t> body,
                                   std::size_t& offset) {
-  nn::QuantizedVec q;
-  q.bits = read_pod<std::uint8_t>(body, offset);
-  q.block = read_pod<std::uint32_t>(body, offset);
-  q.count = read_pod<std::uint64_t>(body, offset);
-  if (q.bits == 0 || q.bits > 8 || q.block == 0) {
+  const auto bits = read_pod<std::uint8_t>(body, offset);
+  const auto block = read_pod<std::uint32_t>(body, offset);
+  const auto count = read_pod<std::uint64_t>(body, offset);
+  if (bits == 0 || bits > 8 || block == 0) {
     throw WireError("corrupt quantized parameter header");
   }
   // Bound the wire-supplied count against the bytes actually present BEFORE
   // any allocation: the packed codes alone need ceil(count*bits/8) bytes and
   // each block carries a (scale, min) pair.  Without this, a forged count
-  // drives resize() into std::length_error/bad_alloc, which are not
-  // WireError and would escape the transports' decode-error handling.
+  // drives the output allocation into std::length_error/bad_alloc, which are
+  // not WireError and would escape the transports' decode-error handling.
   const std::size_t remaining = body.size() - offset;
-  if (q.count > static_cast<std::uint64_t>(remaining) * 8 / q.bits) {
+  if (count > static_cast<std::uint64_t>(remaining) * 8 / bits) {
     throw WireError("truncated quantized payload");
   }
-  const std::size_t n_blocks =
-      (static_cast<std::size_t>(q.count) + q.block - 1) / q.block;
-  if (n_blocks * 2 * sizeof(float) +
-          (static_cast<std::size_t>(q.count) * q.bits + 7) / 8 >
-      remaining) {
+  const std::size_t table_bytes =
+      nn::block_count(static_cast<std::size_t>(count), block) * nn::kBlockEntryBytes;
+  const std::size_t data_bytes = nn::code_bytes(static_cast<std::size_t>(count), bits);
+  if (table_bytes + data_bytes > remaining) {
     throw WireError("truncated quantized payload");
   }
-  q.scales.resize(n_blocks);
-  q.mins.resize(n_blocks);
-  for (std::size_t b = 0; b < n_blocks; ++b) {
-    q.scales[b] = read_pod<float>(body, offset);
-    q.mins[b] = read_pod<float>(body, offset);
-  }
-  const std::size_t data_bytes =
-      (static_cast<std::size_t>(q.count) * q.bits + 7) / 8;
-  if (offset + data_bytes > body.size()) throw WireError("truncated quantized payload");
-  q.data.assign(body.begin() + static_cast<std::ptrdiff_t>(offset),
-                body.begin() + static_cast<std::ptrdiff_t>(offset + data_bytes));
-  offset += data_bytes;
-  try {
-    return nn::dequantize(q);
-  } catch (const std::invalid_argument& e) {
-    throw WireError(std::string("quantized payload: ") + e.what());
-  }
+  // Dequantize straight out of the frame: every span bound the kernel checks
+  // was established above, so it cannot throw.
+  const auto table = body.subspan(offset, table_bytes);
+  const auto codes = body.subspan(offset + table_bytes, data_bytes);
+  offset += table_bytes + data_bytes;
+  std::vector<float> out(static_cast<std::size_t>(count));
+  nn::dequantize_into(table, codes, bits, block, out);
+  return out;
 }
 
 /// Reconstruct the dense parameter vector of one section under `flags`,
@@ -235,9 +225,8 @@ std::vector<float> read_params(std::span<const std::uint8_t> body, std::size_t& 
 
 std::size_t quant_section_size(std::size_t count, std::uint8_t bits,
                                std::uint32_t block) noexcept {
-  const std::size_t n_blocks = block == 0 ? 0 : (count + block - 1) / block;
   return sizeof(std::uint8_t) + sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-         n_blocks * 2 * sizeof(float) + (count * bits + 7) / 8;
+         nn::block_count(count, block) * nn::kBlockEntryBytes + nn::code_bytes(count, bits);
 }
 
 std::size_t params_body_size(std::size_t count, const Codec& codec) noexcept {
@@ -314,17 +303,24 @@ void encode_params(EncodedParts& out, std::span<const float> params, const Codec
   std::vector<float> dequant_local;
   if (codec.quantized()) {
     flags |= kFlagQuantized;
-    const auto q = nn::quantize(work, codec.quantize_bits, codec.block);
-    append_pod(out.head, q.bits);
-    append_pod(out.head, q.block);
-    append_pod(out.head, q.count);
-    for (std::size_t b = 0; b < q.scales.size(); ++b) {
-      append_pod(out.head, q.scales[b]);
-      append_pod(out.head, q.mins[b]);
-    }
-    out.head.insert(out.head.end(), q.data.begin(), q.data.end());
+    // Header, block table and packed codes are written straight into the
+    // head buffer; with delta tracking the reconstruction is read back out
+    // of those same bytes, exactly as the receiver will.
+    const std::uint8_t bits = codec.quantize_bits;
+    const std::uint32_t block = codec.block;
+    append_pod(out.head, bits);
+    append_pod(out.head, block);
+    append_pod(out.head, static_cast<std::uint64_t>(work.size()));
+    const std::size_t at = out.head.size();
+    const std::size_t table_bytes = nn::block_count(work.size(), block) * nn::kBlockEntryBytes;
+    const std::size_t data_bytes = nn::code_bytes(work.size(), bits);
+    out.head.resize(at + table_bytes + data_bytes);
+    const std::span<std::uint8_t> table(out.head.data() + at, table_bytes);
+    const std::span<std::uint8_t> codes(out.head.data() + at + table_bytes, data_bytes);
+    nn::quantize_into(work, bits, block, table, codes);
     if (track) {
-      dequant_local = nn::dequantize(q);
+      dequant_local.resize(work.size());
+      nn::dequantize_into(table, codes, bits, block, dequant_local);
       transmitted = dequant_local;
     }
   } else if ((flags & kFlagTopK) != 0) {

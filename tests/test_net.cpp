@@ -23,9 +23,11 @@
 #include "net/tcp.hpp"
 #include "net/wire.hpp"
 #include "obs/trace.hpp"
+#include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace abdhfl::net {
 namespace {
@@ -900,6 +902,96 @@ TEST(Wire, ForgedSparseHeaderCannotDriveAllocation) {
   EXPECT_THROW((void)decode_frame(bad), WireError);
 }
 
+// Both model-update decoders: the materializing decode_frame and the
+// FrameView + model_update_params path.  Returns how many threw WireError;
+// any other exception escapes and fails the test.
+int decode_both(const std::vector<std::uint8_t>& frame) {
+  int rejected = 0;
+  try {
+    (void)decode_frame(frame);
+  } catch (const WireError&) {
+    ++rejected;
+  }
+  try {
+    const FrameView view = FrameView::parse(frame);
+    std::vector<float> scratch;
+    (void)model_update_params(view, nullptr, scratch);
+  } catch (const WireError&) {
+    ++rejected;
+  }
+  return rejected;
+}
+
+// The first `body_len` body bytes of `frame`, re-framed with a matching
+// length field and a fresh digest so the truncation reaches the body parser.
+std::vector<std::uint8_t> reseal_prefix(const std::vector<std::uint8_t>& frame,
+                                        std::size_t body_len) {
+  std::vector<std::uint8_t> out(frame.begin(),
+                                frame.begin() + static_cast<std::ptrdiff_t>(kHeaderSize + body_len));
+  const auto len = static_cast<std::uint32_t>(body_len);
+  std::memcpy(out.data() + 28, &len, sizeof len);
+  out.resize(out.size() + kDigestSize);
+  refresh_digest(out);
+  return out;
+}
+
+TEST(Wire, QuantizedFrameMutationSweepDecodesOrThrowsWireError) {
+  // The quantized section is dequantized in place out of the frame, so every
+  // truncation and every forged header / block-table byte must end in a
+  // clean decode or a WireError — never an out-of-bounds read.
+  ModelUpdate update;
+  update.sender = 3;
+  update.level = 1;
+  update.samples = 50;
+  update.params = test_params(300);
+  Codec q8;
+  q8.quantize_bits = 8;
+  q8.block = 32;
+  Codec q4 = q8;
+  q4.quantize_bits = 4;
+  Codec q8_topk = q8;
+  q8_topk.topk = 40;
+  struct Case {
+    const char* name;
+    Codec codec;
+    std::size_t values;    // values in the quantized section
+    std::size_t quant_at;  // body offset of its bits/block/count header
+  };
+  const Case cases[] = {
+      {"q8", q8, 300, 16},
+      {"q4", q4, 300, 16},
+      {"q8_topk", q8_topk, 40, 16 + 4 + 8 + 40 * 4},  // after k, d, indices
+  };
+  constexpr std::size_t kQuantHeader = 1 + 4 + 8;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto good = encode_frame({1, 2, 0}, update, c.codec);
+    ASSERT_EQ(decode_both(good), 0);
+    ASSERT_EQ(good[kHeaderSize + c.quant_at], c.codec.quantize_bits);
+    const std::size_t body_len = good.size() - kHeaderSize - kDigestSize;
+
+    for (std::size_t len = 0; len < body_len; ++len) {
+      ASSERT_EQ(decode_both(reseal_prefix(good, len)), 2) << "prefix " << len;
+    }
+
+    const std::size_t lo = c.quant_at;
+    const std::size_t hi = lo + kQuantHeader +
+                           nn::block_count(c.values, c.codec.block) * nn::kBlockEntryBytes;
+    util::Rng rng(17);
+    for (std::size_t pos = lo; pos < hi; ++pos) {
+      for (int trial = 0; trial < 8; ++trial) {
+        auto bad = good;
+        bad[kHeaderSize + pos] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+        if (trial % 2 == 1) {  // and a second byte anywhere in the range
+          bad[kHeaderSize + lo + rng.below(hi - lo)] ^= static_cast<std::uint8_t>(rng());
+        }
+        refresh_digest(bad);
+        (void)decode_both(bad);
+      }
+    }
+  }
+}
+
 TEST(Wire, ModelUpdateParamsIsZeroCopyForRawDense) {
   ModelUpdate update;
   update.sender = 9;
@@ -1222,8 +1314,8 @@ TEST(Wire, RoundTripStatusMessages) {
   // Empty peer table / metrics blob round-trips too (detail = 0 replies).
   StatusReply bare;
   bare.node = 3;
-  const auto& b =
-      std::get<StatusReply>(decode_frame(encode_frame({3, 999, 0}, bare)).payload);
+  const auto bare_msg = decode_frame(encode_frame({3, 999, 0}, bare));
+  const auto& b = std::get<StatusReply>(bare_msg.payload);
   EXPECT_EQ(b.node, 3u);
   EXPECT_TRUE(b.peers.empty());
   EXPECT_TRUE(b.metrics.empty());
