@@ -1,7 +1,7 @@
 // Distributed federation: the same 2-level ABD-HFL run three ways.
 //
-//   1. reference — a transport-free loop calling the shared node arithmetic
-//      (net::cluster_round / merge_models) directly;
+//   1. reference — the transport-free hier reference runner on the flat
+//      "W,D" tree spec (net::hier::run_hier_reference);
 //   2. loopback  — RootNode + WorkerNodes in one process over the loopback
 //      transport, every model crossing the codec as real encoded frames;
 //   3. tcp       — the same nodes as separate OS processes (fork) exchanging
@@ -51,7 +51,6 @@
 #include <memory>
 #include <vector>
 
-#include "agg/aggregator.hpp"
 #include "ckpt/store.hpp"
 #include "net/hier/aggregator.hpp"
 #include "net/hier/reference.hpp"
@@ -70,44 +69,12 @@ namespace {
 
 using namespace abdhfl;
 
-// The transport-free loop: identical arithmetic, direct function calls.
-struct Reference {
-  std::vector<float> global;
-  double accuracy = 0.0;
-};
-
-Reference run_reference(const net::FederationConfig& config) {
-  auto data = net::build_federation_data(config);
-  std::vector<std::vector<core::LocalTrainer>> trainers(config.workers);
-  std::vector<std::unique_ptr<agg::Aggregator>> cluster_rules;
-  std::vector<std::vector<float>> current(config.workers, data.init_params);
-  std::vector<std::vector<float>> last_cluster(config.workers);
-  for (std::size_t w = 0; w < config.workers; ++w) {
-    for (std::size_t k = 0; k < config.devices_per_worker; ++k) {
-      trainers[w].push_back(
-          net::make_device_trainer(config, data, w * config.devices_per_worker + k));
-    }
-    cluster_rules.push_back(agg::make_aggregator(config.cluster_rule));
-  }
-  auto root_rule = agg::make_aggregator(config.root_rule);
-  std::vector<float> global = data.init_params;
-  for (std::size_t r = 0; r < config.rounds; ++r) {
-    std::vector<agg::ModelVec> updates;
-    for (std::size_t w = 0; w < config.workers; ++w) {
-      last_cluster[w] =
-          net::cluster_round(config, trainers[w], *cluster_rules[w], current[w]);
-      updates.push_back(last_cluster[w]);
-    }
-    root_rule->set_reference(global);
-    global = root_rule->aggregate(updates);
-    for (std::size_t w = 0; w < config.workers; ++w) {
-      current[w] = net::merge_models(global, last_cluster[w], config.alpha);
-    }
-  }
-  Reference out;
-  out.accuracy = core::evaluate_params(data.prototype, global, data.test_set);
-  out.global = std::move(global);
-  return out;
+// The transport-free reference: the N-level reference runner on the flat
+// "W,D" spec of this 2-level federation.
+net::hier::HierReferenceResult run_reference(net::FederationConfig config) {
+  config.tree = std::to_string(config.workers) + "," +
+                std::to_string(config.devices_per_worker);
+  return net::hier::run_hier_reference(config);
 }
 
 // One process, one loopback transport, all nodes: frames are encoded,
@@ -502,8 +469,8 @@ int run_top_cluster_mode(net::FederationConfig config, bool kill_leader,
               "%zu rounds%s\n\n",
               config.top_cluster, config.workers, config.devices_per_worker,
               config.rounds, kill_leader ? ", leader killed mid-round" : "");
-  const Reference reference = run_reference(config);
-  std::printf("reference (no transport):    accuracy %.4f\n", reference.accuracy);
+  const auto reference = run_reference(config);
+  std::printf("reference (no transport):    accuracy %.4f\n", reference.final_accuracy);
 
   if (out_dir.empty()) out_dir = "topcluster-out";
   ::mkdir(out_dir.c_str(), 0755);  // EEXIST is fine
@@ -584,8 +551,8 @@ int run_top_cluster_mode(net::FederationConfig config, bool kill_leader,
     const std::string tag = std::to_string(t);
     const auto model = read_file_bytes(out_dir + "/model-top" + tag + ".bin");
     const bool bitwise =
-        model.size() == reference.global.size() * sizeof(float) &&
-        std::memcmp(model.data(), reference.global.data(), model.size()) == 0;
+        model.size() == reference.global_model.size() * sizeof(float) &&
+        std::memcmp(model.data(), reference.global_model.data(), model.size()) == 0;
     models_bitwise = models_bitwise && bitwise;
     std::ifstream summary(out_dir + "/summary-top" + tag + ".txt");
     std::string key;
@@ -687,8 +654,8 @@ int main(int argc, char** argv) {
   std::printf("distributed federation: %zu workers x %zu devices, %zu rounds\n\n",
               config.workers, config.devices_per_worker, config.rounds);
 
-  const Reference reference = run_reference(config);
-  std::printf("reference (no transport):    accuracy %.4f\n", reference.accuracy);
+  const auto reference = run_reference(config);
+  std::printf("reference (no transport):    accuracy %.4f\n", reference.final_accuracy);
 
   const net::RootResult loop = run_loopback(config, rec, rec ? &trace : nullptr);
   std::printf("loopback  (1 process):       accuracy %.4f\n", loop.final_accuracy);
@@ -698,15 +665,15 @@ int main(int argc, char** argv) {
   const bool lossless = config.topk == 0 && !config.delta && config.quantize_bits == 0;
   bool bitwise = true;
   if (lossless) {
-    bitwise = loop.global_model.size() == reference.global.size() &&
-              std::memcmp(loop.global_model.data(), reference.global.data(),
-                          reference.global.size() * sizeof(float)) == 0;
+    bitwise = loop.global_model.size() == reference.global_model.size() &&
+              std::memcmp(loop.global_model.data(), reference.global_model.data(),
+                          reference.global_model.size() * sizeof(float)) == 0;
     std::printf("loopback vs reference:       %s\n",
                 bitwise ? "bitwise equal" : "MISMATCH");
   } else {
     // Lossy codec: the invariant is that the federation still completes; how
     // much accuracy the compression costs is the experiment, not a failure.
-    const double gap = loop.final_accuracy - reference.accuracy;
+    const double gap = loop.final_accuracy - reference.final_accuracy;
     bitwise = loop.rounds_run == config.rounds;
     std::printf("loopback vs reference:       %+.4f accuracy (lossy codec)%s\n", gap,
                 bitwise ? "" : "  FAILED to complete");
@@ -752,12 +719,12 @@ int main(int argc, char** argv) {
                tcp.result.workers_lost == 1;
       std::printf("kill-worker churn path:      %s\n", tcp_ok ? "completed" : "FAILED");
     } else if (lossless) {
-      const double gap = tcp.result.final_accuracy - reference.accuracy;
+      const double gap = tcp.result.final_accuracy - reference.final_accuracy;
       tcp_ok = tcp.children_ok && tcp.result.rounds_run == config.rounds &&
                gap > -0.01 && gap < 0.01;
       std::printf("tcp vs reference:            %+.4f (|gap| < 0.01 required)\n", gap);
     } else {
-      const double gap = tcp.result.final_accuracy - reference.accuracy;
+      const double gap = tcp.result.final_accuracy - reference.final_accuracy;
       tcp_ok = tcp.children_ok && tcp.result.rounds_run == config.rounds;
       std::printf("tcp vs reference:            %+.4f accuracy (lossy codec)%s\n", gap,
                   tcp_ok ? "" : "  FAILED to complete");

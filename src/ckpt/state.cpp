@@ -80,47 +80,4 @@ void restore_ledger(std::span<const std::uint8_t> payload, obs::SuspicionLedger&
   }
 }
 
-std::vector<std::uint8_t> encode_topology(const topology::HflTree& tree) {
-  PayloadWriter w;
-  w.u64(tree.num_levels());
-  for (std::size_t l = 0; l < tree.num_levels(); ++l) {
-    const auto& clusters = tree.level(l);
-    w.u64(clusters.size());
-    for (const auto& c : clusters) {
-      w.u64(c.leader);
-      w.u32vec(c.members);
-    }
-  }
-  return w.take();
-}
-
-topology::HflTree decode_topology(std::span<const std::uint8_t> payload) {
-  PayloadReader r(payload);
-  const auto num_levels = r.u64();
-  if (num_levels > r.remaining() / sizeof(std::uint64_t)) {
-    throw CkptError("TOPO level count overruns payload");
-  }
-  std::vector<std::vector<topology::Cluster>> levels(num_levels);
-  for (auto& clusters : levels) {
-    const auto count = r.u64();
-    if (count > r.remaining() / (2 * sizeof(std::uint64_t))) {
-      throw CkptError("TOPO cluster count overruns payload");
-    }
-    clusters.resize(count);
-    for (auto& c : clusters) {
-      c.leader = r.u64();
-      c.members = r.u32vec();
-      if (c.leader >= c.members.size()) {
-        throw CkptError("TOPO leader index out of range");
-      }
-    }
-  }
-  r.expect_done();
-  try {
-    return topology::HflTree(std::move(levels));
-  } catch (const std::exception& e) {
-    throw CkptError(std::string("TOPO chunk rejected: ") + e.what());
-  }
-}
-
 }  // namespace abdhfl::ckpt

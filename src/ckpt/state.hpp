@@ -14,14 +14,14 @@
 //   LRSC  learning-rate schedule position (base LR + schedule round, f64+u64)
 //   PIPE  pipeline flag / correction-factor state
 //   SUSP  SuspicionLedger state (geometry + EWMA/round/event arrays)
-//   TOPO  topology mirror (an HflTree's levels)
 //   DEVS  per-device start parameters (count + f32vec each)
 //   EVNT  pending discrete-event records (producer-specific)
 //   RSLT  partial run results accumulated so far (producer-specific)
 //   XTRA  anything producer-specific that fits no other tag
 //
 // Readers must tolerate unknown tags (skip them) and missing optional ones;
-// require() only what the producer always writes.
+// require() only what the producer always writes.  (Root snapshots of older
+// builds carry a TOPO topology-mirror chunk that nothing reads any more.)
 
 #include <array>
 #include <cstdint>
@@ -30,7 +30,6 @@
 
 #include "ckpt/container.hpp"
 #include "obs/suspicion.hpp"
-#include "topology/tree.hpp"
 #include "util/rng.hpp"
 
 namespace abdhfl::ckpt {
@@ -43,7 +42,6 @@ inline constexpr std::uint32_t kTagRound = fourcc("ROUN");
 inline constexpr std::uint32_t kTagLrSchedule = fourcc("LRSC");
 inline constexpr std::uint32_t kTagPipeline = fourcc("PIPE");
 inline constexpr std::uint32_t kTagLedger = fourcc("SUSP");
-inline constexpr std::uint32_t kTagTopology = fourcc("TOPO");
 inline constexpr std::uint32_t kTagDevices = fourcc("DEVS");
 inline constexpr std::uint32_t kTagEvents = fourcc("EVNT");
 inline constexpr std::uint32_t kTagResult = fourcc("RSLT");
@@ -67,9 +65,5 @@ using RngState = std::array<std::uint64_t, 4>;
 [[nodiscard]] std::vector<std::uint8_t> encode_ledger(const obs::SuspicionLedger& ledger);
 /// Restore into a ledger of matching geometry; CkptError on mismatch.
 void restore_ledger(std::span<const std::uint8_t> payload, obs::SuspicionLedger& ledger);
-
-/// TOPO payload: levels -> clusters -> (leader index, member list).
-[[nodiscard]] std::vector<std::uint8_t> encode_topology(const topology::HflTree& tree);
-[[nodiscard]] topology::HflTree decode_topology(std::span<const std::uint8_t> payload);
 
 }  // namespace abdhfl::ckpt

@@ -222,12 +222,7 @@ void AggregatorNode::on_parent_message(WireMessage& msg) {
       }
     } else if (member.event == Membership::Event::kShutdown) {
       // Coordinator abort: propagate down and stop.
-      Payload bye(std::in_place_type<Membership>);
-      std::get<Membership>(bye).event = Membership::Event::kShutdown;
-      std::get<Membership>(bye).device = id_;
-      for (const NodeId child : collector_.live()) {
-        down_.send({id_, child, round_}, bye, child_link_class_);
-      }
+      shutdown_children();
       finish(/*failed=*/false);
     }
     return;
@@ -243,9 +238,7 @@ void AggregatorNode::on_parent_message(WireMessage& msg) {
       // Mid-level: forward the broadcast down unchanged, then keep the
       // global as the next round's fold reference.  The payload is reused
       // verbatim — children at round_ accept it by envelope round.
-      for (const NodeId child : collector_.live()) {
-        down_.send({id_, child, round_}, msg.payload, child_link_class_);
-      }
+      collector_.fan_out(msg.payload, round_);
       down_model_ = std::move(partial.params);
     }
     ++round_;
@@ -261,12 +254,7 @@ void AggregatorNode::on_parent_message(WireMessage& msg) {
       if (host_ != nullptr) {
         // The subtree is one process: say goodbye up, retire the devices.
         uplink_.send_leave(round_);
-        Payload bye(std::in_place_type<Membership>);
-        std::get<Membership>(bye).event = Membership::Event::kShutdown;
-        std::get<Membership>(bye).device = id_;
-        for (const NodeId child : collector_.live()) {
-          down_.send({id_, child, round_}, bye, child_link_class_);
-        }
+        shutdown_children();
         finish(/*failed=*/false);
       } else {
         // Await the children's leaves before saying goodbye ourselves, so
@@ -336,7 +324,7 @@ void AggregatorNode::begin_round_down() {
 
 void AggregatorNode::disseminate_to_devices() {
   // Broadcast the model the devices train from this round, without staging
-  // a copy per send: the payload borrows down_model_ for the loop.
+  // a copy per send: the payload borrows down_model_ for the fan-out.
   Payload payload(std::in_place_type<PartialModel>);
   auto& partial = std::get<PartialModel>(payload);
   partial.origin = id_;
@@ -345,10 +333,15 @@ void AggregatorNode::disseminate_to_devices() {
   partial.alpha = static_cast<float>(config_.alpha);
   partial.flag_fraction = 1.0;
   partial.params = std::move(down_model_);
-  for (const NodeId child : collector_.live()) {
-    down_.send({id_, child, round_}, payload, child_link_class_);
-  }
+  collector_.fan_out(payload, round_);
   down_model_ = std::move(partial.params);
+}
+
+void AggregatorNode::shutdown_children() {
+  Payload bye(std::in_place_type<Membership>);
+  std::get<Membership>(bye).event = Membership::Event::kShutdown;
+  std::get<Membership>(bye).device = id_;
+  collector_.fan_out(bye, round_);
 }
 
 void AggregatorNode::arm_collect() {
@@ -359,11 +352,7 @@ void AggregatorNode::arm_collect() {
 }
 
 void AggregatorNode::maybe_forward_up() {
-  if (phase_ != Phase::kTraining || collector_.live().empty()) return;
-  // An evicted child inside its grace window holds the round open (the
-  // mid-tier restart path).
-  if (collector_.grace_holds(wall_now())) return;
-  if (!collector_.quorum_complete()) return;
+  if (phase_ != Phase::kTraining || !collector_.quorum_complete(wall_now())) return;
   std::size_t n_inputs = 0;
   {
     // Round-root span, explicitly parentless with the round's own trace id
@@ -388,10 +377,8 @@ void AggregatorNode::maybe_forward_up() {
 }
 
 void AggregatorNode::maybe_finish() {
-  if (phase_ != Phase::kFinishing) return;
-  for (const NodeId child : collector_.live()) {
-    if (collector_.left().find(child) == collector_.left().end()) return;
-  }
+  // Every child said goodbye (a leave takes it out of the live set).
+  if (phase_ != Phase::kFinishing || !collector_.live().empty()) return;
   uplink_.send_leave(round_);
   finish(/*failed=*/false);
 }
@@ -422,7 +409,6 @@ void AggregatorNode::on_down_peer_loss(NodeId peer) {
     if (collector_.live().empty() && !collector_.grace_pending()) {
       finish(/*failed=*/true);
     } else {
-      if (collector_.streaming()) collector_.drain_into_stream();
       maybe_forward_up();
     }
   } else if (phase_ == Phase::kFinishing) {
@@ -445,9 +431,6 @@ void AggregatorNode::on_peer_reconnect(NodeId peer) {
     rec.set("worker", static_cast<double>(peer));
     rec.set("live_workers", static_cast<double>(collector_.live().size()));
   }
-  // Resync echo: tells the child which quorum its next update must land in
-  // (sent before the reconnect's buffered frames drain — see RootNode).
-  collector_.echo_join(peer, round_);
 }
 
 void AggregatorNode::reply_status(const StatusRequest& request, NodeId to) {

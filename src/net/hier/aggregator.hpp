@@ -91,6 +91,8 @@ class AggregatorNode {
   /// current model to the devices (leaf) for round_.
   void begin_round_down();
   void disseminate_to_devices();
+  /// Tell every live child to stop (kShutdown).
+  void shutdown_children();
   /// Fold + send up once the quorum is complete and no grace window holds.
   void maybe_forward_up();
   void maybe_finish();

@@ -25,25 +25,27 @@ Collector::Collector(Transport& transport, Options opts)
 
 bool Collector::on_join(NodeId from, const Membership& member, std::size_t round) {
   live_.insert(from);
+  left_.erase(from);
   bb::record(bb::EventType::kChurn, static_cast<std::uint16_t>(bb::ChurnKind::kJoin),
              opts_.self, round, from);
   bb::set_peer(from, 0, round);
   subtree_samples_[from] = member.subtree_samples;
   join_wall_ns_[from] = member.wall_ns;
   transport_.set_peer_tracing(from, member.trace && opts_.trace);
-  // Codec negotiation: the link gets what both sides support — the child's
-  // advertisement bounded by our own config.  Quantization takes the coarser
-  // of the two, top-k the smaller k (only when both asked for it), delta
-  // only when both sides opted in (the rx side must be willing to hold the
-  // per-link base cache).
-  Codec chosen = member.codec;
+  transport_.set_peer_codec(from, negotiate(member.codec));
+  return live_.size() >= opts_.expected_children;
+}
+
+Codec Collector::negotiate(const Codec& advertised) const noexcept {
+  // Delta needs both sides: the rx side must be willing to hold the per-link
+  // base cache.
+  Codec chosen = advertised;
   chosen.quantize_bits = std::min(chosen.quantize_bits, opts_.codec.quantize_bits);
   chosen.topk = (chosen.topk != 0 && opts_.codec.topk != 0)
                     ? std::min(chosen.topk, opts_.codec.topk)
                     : 0;
   chosen.delta = chosen.delta && opts_.codec.delta;
-  transport_.set_peer_codec(from, chosen);
-  return live_.size() >= opts_.expected_children;
+  return chosen;
 }
 
 void Collector::echo_join(NodeId child, std::size_t round) {
@@ -59,10 +61,13 @@ void Collector::echo_join(NodeId child, std::size_t round) {
 }
 
 void Collector::echo_joins(std::size_t round) {
-  for (const NodeId child : live_) echo_join(child, round);
+  // A snapshot: a failed send runs the peer-loss handlers, which may evict.
+  const std::vector<NodeId> children(live_.begin(), live_.end());
+  for (const NodeId child : children) echo_join(child, round);
 }
 
 void Collector::on_leave(NodeId from, std::size_t round) {
+  drop(from);
   left_.insert(from);
   transport_.expect_close(from);  // its EOF is not churn
   bb::record(bb::EventType::kChurn, static_cast<std::uint16_t>(bb::ChurnKind::kLeave),
@@ -71,11 +76,9 @@ void Collector::on_leave(NodeId from, std::size_t round) {
 }
 
 bool Collector::evict(NodeId peer, std::size_t round, double now) {
+  // Not live covers a child that already said goodbye: its EOF is not churn.
   if (live_.find(peer) == live_.end()) return false;
-  // A child that already said goodbye closing its socket is not churn.
-  if (left_.find(peer) != left_.end()) return false;
-  live_.erase(peer);
-  pending_.erase(peer);
+  drop(peer);
   suspicion_[peer] = 0.5 * suspicion_[peer] + 0.5;  // EWMA toward 1 on a loss
   bb::record(bb::EventType::kChurn, static_cast<std::uint16_t>(bb::ChurnKind::kLoss),
              opts_.self, round, peer);
@@ -87,6 +90,13 @@ bool Collector::evict(NodeId peer, std::size_t round, double now) {
   return true;
 }
 
+void Collector::drop(NodeId child) {
+  live_.erase(child);
+  pending_.erase(child);
+  // The departure may have closed a reorder gap.
+  if (stream_ != nullptr) drain_into_stream();
+}
+
 bool Collector::readmit(NodeId peer, std::size_t round) {
   if (live_.find(peer) != live_.end() || left_.find(peer) != left_.end()) return false;
   if (subtree_samples_.find(peer) == subtree_samples_.end()) return false;
@@ -95,12 +105,11 @@ bool Collector::readmit(NodeId peer, std::size_t round) {
   bb::record(bb::EventType::kChurn, static_cast<std::uint16_t>(bb::ChurnKind::kRejoin),
              opts_.self, round, peer);
   bb::set_peer(peer, 0, round);
+  // The echo round names the quorum the child's next update must land in.
+  // It goes out BEFORE the reconnect's buffered frames are delivered, so a
+  // retried update among them is accepted and the child does not retrain.
+  echo_join(peer, round);
   return true;
-}
-
-bool Collector::grace_holds(double now) {
-  expire_grace(now);
-  return !grace_until_.empty();
 }
 
 bool Collector::expire_grace(double now) {
@@ -111,6 +120,7 @@ bool Collector::expire_grace(double now) {
 
 void Collector::arm(std::unique_ptr<agg::StreamAccumulator> stream) {
   arrived_.clear();
+  pending_.clear();
   stream_ = std::move(stream);
 }
 
@@ -118,7 +128,7 @@ bool Collector::accept_update(const Envelope& env, ModelUpdate& update,
                               std::size_t round) {
   if (env.round != round) return false;  // stale retransmission
   if (live_.find(env.from) == live_.end()) return false;
-  if (arrived_.find(env.from) != arrived_.end()) return false;  // already folded
+  if (has_update(env.from)) return false;  // duplicate: the first update wins
   suspicion_[env.from] *= 0.9;  // delivered on time: decay suspicion
   pending_[env.from] = std::move(update.params);
   if (stream_ != nullptr) drain_into_stream();
@@ -132,8 +142,7 @@ bool Collector::accept_raw(const FrameView& view, std::size_t round,
   const Envelope env = view.env();
   if (env.to != opts_.self || env.round != round) return false;
   if (live_.find(env.from) == live_.end()) return false;
-  if (arrived_.find(env.from) != arrived_.end() ||
-      pending_.find(env.from) != pending_.end()) {
+  if (has_update(env.from)) {
     // Duplicate: decline so the decode path still applies the frame's delta
     // rx-cache update before the owner ignores it.
     return false;
@@ -165,8 +174,13 @@ bool Collector::has_update(NodeId child) const {
          arrived_.find(child) != arrived_.end();
 }
 
-bool Collector::quorum_complete() const {
+bool Collector::quorum_complete(double now) {
   if (live_.empty()) return false;
+  // An evicted child inside its grace window holds the round open: its
+  // process may come back and land this round's update, which is what keeps
+  // a mid-run restart bitwise identical to an uninterrupted run.
+  expire_grace(now);
+  if (!grace_until_.empty()) return false;
   if (stream_ != nullptr) {
     for (const NodeId child : live_) {
       if (arrived_.find(child) == arrived_.end()) return false;
@@ -229,6 +243,17 @@ std::vector<float> Collector::finish(agg::Aggregator& rule,
   std::vector<float> out = rule.aggregate(inputs);
   pending_.clear();
   return out;
+}
+
+void Collector::fan_out(Payload& payload, std::uint64_t round) {
+  // A snapshot, not the live set itself: a failed send runs the transport's
+  // peer-loss handlers synchronously, and the owner's may evict the child.
+  const std::vector<NodeId> children(live_.begin(), live_.end());
+  auto* ping = std::get_if<StatusRequest>(&payload);
+  for (const NodeId child : children) {
+    if (ping != nullptr) ping->wall_ns = obs::wall_clock_ns();  // this link's t0
+    (void)transport_.send({opts_.self, child, round}, payload, opts_.link_class);
+  }
 }
 
 std::uint64_t Collector::total_subtree_samples() const {

@@ -5,19 +5,20 @@
 // node of an N-level tree needs in some combination:
 //
 //   Collector — the DOWN-facing role: child membership (join/leave/evict/
-//     re-admit), per-link codec negotiation, the suspicion ledger, and the
+//     re-admit), per-link codec negotiation, the suspicion ledger, the
 //     deterministic id-ordered update collection fold (streaming when the
-//     rule supports it, materialize-first otherwise).
+//     rule supports it, materialize-first otherwise), and the fan-out of a
+//     payload to every live child.
 //   Uplink    — the UP-facing role: join/leave/update/ping senders toward a
 //     parent, join-echo processing (codec adoption, round adoption, RTT and
 //     clock-offset estimation), and the borrow-don't-copy update send.
 //
-// RootNode is Collector + evaluation, WorkerNode is Uplink + training, and
-// an AggregatorNode at any interior level is both at once — worker to its
-// parent, root to its children.  The roles carry protocol mechanics only;
-// phase machines, JSONL records, results and checkpoints stay with the
-// owning node, so extracting them changed no observable behaviour (the
-// 2-level suite pins that).
+// RootNode is Collector + evaluation, WorkerNode is Uplink + training, an
+// AggregatorNode at any interior level is both at once, and a TopClusterNode
+// is a Collector plus the rotation log.  The roles carry protocol mechanics
+// only; phase machines, JSONL records, results and checkpoints stay with
+// the owning node.  Live and left are disjoint, the first update per child
+// per round wins, and arm() starts every round empty.
 //
 // Churn grace (FederationConfig::rejoin_grace_s): with a grace window
 // configured, a lost child that had joined is remembered for that window
@@ -84,10 +85,15 @@ class Collector {
 
   // -- membership -----------------------------------------------------------
 
-  /// Admit a joining child: live set, subtree samples, join timestamp, codec
-  /// negotiation (the advertisement bounded by our own config), tracing
-  /// capability.  Returns true once every expected child has joined.
+  /// Admit a joining child: live set (clearing an earlier leave), subtree
+  /// samples, join timestamp, codec negotiation, tracing capability.
+  /// Returns true once every expected child has joined.
   bool on_join(NodeId from, const Membership& member, std::size_t round);
+
+  /// The codec a link gets: the child's advertisement bounded by our own
+  /// config.  Quantization takes the coarser of the two, top-k the smaller k
+  /// (only when both asked for it), delta only when both sides opted in.
+  [[nodiscard]] Codec negotiate(const Codec& advertised) const noexcept;
 
   /// Send one join echo — the starting gun / resync frame.  The envelope
   /// round tells the child which round this collector is collecting.
@@ -95,22 +101,23 @@ class Collector {
   /// Echo every live child's join (the begin-training broadcast).
   void echo_joins(std::size_t round);
 
-  /// A child said goodbye: remember it so its EOF is not churn.
+  /// A child said goodbye: take it out of the live set, drop its buffered
+  /// update, and remember it so its EOF is not churn.
   void on_leave(NodeId from, std::size_t round);
 
-  /// Peer-loss path: evict a live member (live set, pending update, EWMA
+  /// Peer-loss path: evict a live member (live set, buffered update, EWMA
   /// suspicion bump toward 1).  Returns false when the loss is not churn
-  /// (unknown peer, already left).  With a grace window configured, a child
-  /// that had joined is remembered until `now + rejoin_grace_s` and
-  /// grace_holds() reports a hold until it reconnects or the window expires.
+  /// (unknown peer, already left or evicted).  With a grace window
+  /// configured, a child that had joined is remembered until
+  /// `now + rejoin_grace_s` and the round's quorum stays incomplete until it
+  /// reconnects or the window expires.
   bool evict(NodeId peer, std::size_t round, double now);
 
-  /// Transport-reconnect path: re-admit a member the loss path evicted.
-  /// Only for a child that joined this run and has not said goodbye.
+  /// Transport-reconnect path: re-admit a member the loss path evicted and
+  /// send it a resync join echo.  Only for a child that joined this run and
+  /// has not said goodbye.
   bool readmit(NodeId peer, std::size_t round);
 
-  /// True while any grace window is open (prunes expired windows first).
-  [[nodiscard]] bool grace_holds(double now);
   /// Prune expired grace windows; true when one expired (the owner should
   /// re-check the quorum — the hold may just have been released).
   bool expire_grace(double now);
@@ -119,13 +126,15 @@ class Collector {
 
   // -- collection -----------------------------------------------------------
 
-  /// (Re)arm a round's collection; `stream` may be null (materialize-first).
+  /// Start a round's collection empty.  `stream` may be null
+  /// (materialize-first) — which an owner must choose when a departure may
+  /// have to drop an update that already arrived: a stream cannot un-fold.
   void arm(std::unique_ptr<agg::StreamAccumulator> stream);
 
-  /// Decoded-path acceptance: the guard chain (round match, live member, not
-  /// yet folded), suspicion decay, buffer + in-order drain.  Moves the
-  /// update's params out on acceptance.  Returns true when accepted (the
-  /// owner then checks quorum_complete()).
+  /// Decoded-path acceptance: the guard chain (round match, live member, no
+  /// update yet this round — the first one wins), suspicion decay, buffer +
+  /// in-order drain.  Moves the update's params out on acceptance.  Returns
+  /// true when accepted (the owner then checks quorum_complete()).
   bool accept_update(const Envelope& env, ModelUpdate& update, std::size_t round);
 
   /// Zero-copy path: a complete ModelUpdate frame offered before decode.
@@ -137,8 +146,9 @@ class Collector {
   bool accept_raw(const FrameView& view, std::size_t round, std::size_t param_count);
 
   [[nodiscard]] bool has_update(NodeId child) const;
-  /// Every live child's update folded/buffered (false while live is empty).
-  [[nodiscard]] bool quorum_complete() const;
+  /// Every live child's update folded/buffered, and no grace window holds
+  /// the round open (false while live is empty).
+  [[nodiscard]] bool quorum_complete(double now);
 
   /// Complete the round's fold: set the rule's reference and aggregate —
   /// stream finish when streaming (bitwise what aggregate() over the
@@ -148,10 +158,10 @@ class Collector {
   [[nodiscard]] std::vector<float> finish(agg::Aggregator& rule,
                                           std::span<const float> reference,
                                           std::size_t& n_inputs);
-  /// Feed buffered in-order updates into the stream (call after an eviction
-  /// may have closed a reorder gap).
-  void drain_into_stream();
-  [[nodiscard]] bool streaming() const noexcept { return stream_ != nullptr; }
+
+  /// Send `payload` to every live child, enveloped with `round` (a
+  /// StatusRequest is restamped per send: each link's own RTT t0).
+  void fan_out(Payload& payload, std::uint64_t round);
 
   // -- introspection / persistence ------------------------------------------
 
@@ -170,6 +180,11 @@ class Collector {
   void append_status_peers(StatusReply& reply) const;
 
  private:
+  /// Take a child out of the live set with its buffered update.
+  void drop(NodeId child);
+  /// Feed buffered in-order updates into the stream.
+  void drain_into_stream();
+
   Transport& transport_;
   Options opts_;
   std::set<NodeId> live_;

@@ -15,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "obs/record.hpp"
 #include "obs/trace.hpp"
-#include "topology/churn.hpp"
 #include "topology/plan.hpp"
 #include "util/rng.hpp"
 
@@ -516,8 +515,6 @@ RootNode::RootNode(FederationConfig config, Transport& transport,
       checkpoint_every_(checkpoint_every),
       data_(build_federation_data(config_)),
       rule_(agg::make_aggregator(config_.root_rule)),
-      tree_(topology::build_ecsm(2, config_.devices_per_worker,
-                                 std::max<std::size_t>(config_.workers, 1))),
       collector_(transport, root_collector_opts(config_)),
       global_(data_.init_params) {
   if (checkpoint_ != nullptr && resume) restore_checkpoint();
@@ -612,7 +609,7 @@ void RootNode::on_message(WireMessage& msg) {
 void RootNode::begin_training() {
   result_.workers_joined = collector_.live().size();
   phase_ = Phase::kTraining;
-  arm_stream();
+  collector_.arm(rule_->make_stream(data_.init_params.size()));
   phase_deadline_ = wall_now() + config_.round_timeout_s;
   bb::record(bb::EventType::kPhase, 1, kRootId, round_, collector_.live().size());
   bb::set_phase(1, round_, deadline_ns(phase_deadline_));
@@ -625,10 +622,6 @@ void RootNode::begin_training() {
   collector_.echo_joins(round_);
 }
 
-void RootNode::arm_stream() {
-  collector_.arm(rule_->make_stream(data_.init_params.size()));
-}
-
 bool RootNode::on_raw_frame(const FrameView& view) {
   if (phase_ != Phase::kTraining) return false;
   if (!collector_.accept_raw(view, round_, data_.init_params.size())) return false;
@@ -637,12 +630,7 @@ bool RootNode::on_raw_frame(const FrameView& view) {
 }
 
 void RootNode::maybe_aggregate() {
-  if (phase_ != Phase::kTraining || collector_.live().empty()) return;
-  // An evicted member inside its grace window holds the round open: its
-  // process may come back and land this round's update, which is what keeps
-  // a mid-run restart bitwise identical to an uninterrupted run.
-  if (collector_.grace_holds(wall_now())) return;
-  if (!collector_.quorum_complete()) return;
+  if (phase_ != Phase::kTraining || !collector_.quorum_complete(wall_now())) return;
   // Opened once the quorum is confirmed; covers aggregate + evaluate +
   // broadcast.  Usually nested under the last update's net_recv span, whose
   // trace context carries this same round's trace id from the sender.
@@ -664,7 +652,7 @@ void RootNode::maybe_aggregate() {
   }
 
   // Broadcast the global model without staging a copy per send: the Payload
-  // borrows global_ for the duration of the loop and hands it back after.
+  // borrows global_ for the duration of the fan-out and hands it back after.
   Payload payload(std::in_place_type<PartialModel>);
   auto& partial = std::get<PartialModel>(payload);
   partial.origin = kRootId;
@@ -673,9 +661,7 @@ void RootNode::maybe_aggregate() {
   partial.alpha = static_cast<float>(config_.alpha);
   partial.flag_fraction = 1.0;  // the global model covers all of D_G
   partial.params = std::move(global_);
-  for (const NodeId worker : collector_.live()) {
-    transport_.send({kRootId, worker, round_}, payload, kLeaderLinkClass);
-  }
+  collector_.fan_out(payload, round_);
   global_ = std::move(partial.params);
   agg_span.reset();  // the round's root-side work ends with the broadcast
   ping_workers();
@@ -700,16 +686,13 @@ void RootNode::maybe_aggregate() {
     bb::set_phase(2, round_, deadline_ns(phase_deadline_));
     maybe_finish();
   } else {
-    arm_stream();
+    collector_.arm(rule_->make_stream(data_.init_params.size()));
   }
 }
 
 void RootNode::maybe_finish() {
-  if (phase_ != Phase::kFinishing) return;
-  for (const NodeId worker : collector_.live()) {
-    if (collector_.left().find(worker) == collector_.left().end()) return;
-  }
-  finish_now();
+  // Every worker said goodbye (a leave takes it out of the live set).
+  if (phase_ == Phase::kFinishing && collector_.live().empty()) finish_now();
 }
 
 void RootNode::finish_now() {
@@ -722,7 +705,6 @@ void RootNode::on_peer_loss(NodeId peer) {
   if (phase_ == Phase::kDone) return;
   if (!collector_.evict(peer, round_, wall_now())) return;
   ++result_.workers_lost;
-  apply_churn(peer);
   if (recorder_ != nullptr) {
     obs::RoundRecord& rec = recorder_->begin_round("dist_churn", round_);
     rec.set("worker", static_cast<double>(peer));
@@ -735,10 +717,7 @@ void RootNode::on_peer_loss(NodeId peer) {
       if (!result_.round_accuracy.empty()) result_.global_model = global_;
       finish_now();
     } else {
-      // The loss may have closed a reorder gap as well as completed the
-      // quorum.
-      if (collector_.streaming()) collector_.drain_into_stream();
-      maybe_aggregate();
+      maybe_aggregate();  // the loss may have completed the quorum
     }
   } else if (phase_ == Phase::kFinishing) {
     maybe_finish();
@@ -747,32 +726,23 @@ void RootNode::on_peer_loss(NodeId peer) {
 
 void RootNode::on_peer_reconnect(NodeId peer) {
   // A transient link drop the worker's own send-retry machinery repaired:
-  // re-admit the member the loss path evicted.  Only mid-training, and only
-  // for a worker that joined this run and has not said goodbye.
+  // re-admit the member the loss path evicted and resync it.  Only
+  // mid-training, and only for a worker that joined this run and has not
+  // said goodbye.
   if (phase_ != Phase::kTraining) return;
   if (!collector_.readmit(peer, round_)) return;
   ++result_.workers_rejoined;
-  apply_rejoin(peer);
   if (recorder_ != nullptr) {
     obs::RoundRecord& rec = recorder_->begin_round("dist_rejoin", round_);
     rec.set("worker", static_cast<double>(peer));
     rec.set("live_workers", static_cast<double>(collector_.live().size()));
   }
-  // Resync echo: the envelope round is the round the root is collecting, so
-  // the worker knows which quorum its next update must land in.  This is
-  // sent BEFORE the reconnect's buffered frames are delivered — if they
-  // carry the worker's retried update for this round, it is accepted below
-  // and the worker (seeing its own round echoed) does not retrain.
-  collector_.echo_join(peer, round_);
 }
 
 void RootNode::ping_workers() {
-  StatusRequest ping;
-  ping.probe = static_cast<std::uint32_t>(round_);
-  for (const NodeId worker : collector_.live()) {
-    ping.wall_ns = obs::wall_clock_ns();  // per-send stamp: each link's own t0
-    transport_.send({kRootId, worker, round_}, ping, kLeaderLinkClass);
-  }
+  Payload ping(std::in_place_type<StatusRequest>);
+  std::get<StatusRequest>(ping).probe = static_cast<std::uint32_t>(round_);
+  collector_.fan_out(ping, round_);  // stamped per send: each link's own t0
 }
 
 void RootNode::reply_status(const StatusRequest& request, NodeId to) {
@@ -795,25 +765,6 @@ void RootNode::reply_status(const StatusRequest& request, NodeId to) {
   transport_.send({kRootId, to, round_}, reply, kLeaderLinkClass);
 }
 
-void RootNode::apply_churn(NodeId worker) {
-  // Tree mode: the children are interior aggregators, not bottom clusters —
-  // the 2-level mirror does not apply.
-  if (!config_.tree.empty()) return;
-  // Mirror the loss on the topology: the crashed worker is the leader of
-  // bottom cluster (worker-1); with_device_left elects its successor and
-  // re-derives the upper level, the paper's Assumption 3 leave path.
-  const std::size_t cluster_index = static_cast<std::size_t>(worker - 1);
-  if (cluster_index >= tree_.level(1).size()) return;
-  const topology::DeviceId leader = tree_.cluster(1, cluster_index).leader_id();
-  try {
-    auto left = topology::with_device_left(tree_, leader);
-    tree_ = std::move(left.tree);
-  } catch (const std::exception&) {
-    // Assumption 3 forbids emptying a cluster / the top level; the mirror
-    // simply keeps the old shape then — the live set already shrank.
-  }
-}
-
 void RootNode::save_checkpoint() {
   // Taken right after an aggregation: global_ is the round's model, round_
   // already points at the next round to collect.  save_now for the same
@@ -827,7 +778,6 @@ void RootNode::save_checkpoint() {
     w.f32vec(global_);
     c.chunks.push_back({ckpt::kTagParams, w.take()});
   }
-  c.chunks.push_back({ckpt::kTagTopology, ckpt::encode_topology(tree_)});
   {
     ckpt::PayloadWriter w;
     w.f64vec(result_.round_accuracy);
@@ -867,7 +817,6 @@ void RootNode::restore_checkpoint() {
     }
     global_ = std::move(params);
   }
-  tree_ = ckpt::decode_topology(snap->require(ckpt::kTagTopology).payload);
   {
     ckpt::PayloadReader r(snap->require(ckpt::kTagResult).payload);
     result_.round_accuracy = r.f64vec();
@@ -897,21 +846,6 @@ void RootNode::restore_checkpoint() {
   if (recorder_ != nullptr) {
     obs::RoundRecord& rec = recorder_->begin_round("dist_resume", round_);
     rec.set("worker", -1.0);
-  }
-}
-
-void RootNode::apply_rejoin(NodeId worker) {
-  if (!config_.tree.empty()) return;  // see apply_churn
-  // Inverse of apply_churn: the returning leader re-enters its old bottom
-  // cluster via the paper's Assumption 3 join path.
-  const std::size_t cluster_index = static_cast<std::size_t>(worker - 1);
-  if (cluster_index >= tree_.level(1).size()) return;
-  try {
-    auto joined = topology::with_device_joined(tree_, cluster_index);
-    tree_ = std::move(joined.tree);
-  } catch (const std::exception&) {
-    // Mirror-only bookkeeping; a shape the topology rejects keeps the old
-    // tree — the live set already grew.
   }
 }
 

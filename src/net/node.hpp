@@ -9,10 +9,11 @@
 // separate OS processes over TcpTransport, exchanging byte-identical frames.
 //
 // The protocol mechanics both classes share with the N-level AggregatorNode
-// (src/net/hier) live in the hier::Collector / hier::Uplink roles: RootNode
-// is a Collector plus evaluation, WorkerNode is an Uplink plus training, and
-// an interior aggregator is both at once.  The nodes here keep only what is
-// specific to them — phase machines, JSONL records, results, checkpoints.
+// (src/net/hier) and the TopClusterNode committee live in the
+// hier::Collector / hier::Uplink roles: RootNode is a Collector plus
+// evaluation, WorkerNode is an Uplink plus training, and an interior
+// aggregator is both at once.  The nodes here keep only what is specific to
+// them — phase machines, JSONL records, results, checkpoints.
 //
 // Protocol per run:
 //   worker -> root   Membership kJoin (subtree samples + advertised codec)
@@ -30,13 +31,11 @@
 //                    — no RST can clip the last global model in flight).
 //
 // Degradation: a worker that dies mid-run surfaces as a transport peer loss;
-// the root drops it from the live set, feeds the event through
-// topology::with_device_left (leader succession on the mirrored HflTree),
-// records a "dist_churn" JSONL line, and finishes the round with the
-// remaining quorum.  A transient drop is recoverable: when the worker's own
-// send-retry machinery re-establishes the link, the transport's
-// peer-reconnect event lets the root re-admit the member (a "dist_rejoin"
-// line) and answer with a resync join echo whose envelope round tells the
+// the root drops it from the live set, records a "dist_churn" JSONL line,
+// and finishes the round with the remaining quorum.  A transient drop is
+// recoverable: when the worker's own send-retry machinery re-establishes
+// the link, the transport's peer-reconnect event lets the root re-admit the
+// member (a "dist_rejoin" line) and answer with a resync join echo whose envelope round tells the
 // worker which quorum to land its next update in.  With rejoin_grace_s set,
 // the collector additionally HOLDS the round open for an evicted member
 // until the grace window passes — the bitwise-identical mid-tier restart
@@ -62,7 +61,6 @@
 #include "net/hier/roles.hpp"
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
-#include "topology/tree.hpp"
 
 namespace abdhfl::obs {
 class Recorder;
@@ -285,15 +283,14 @@ struct RootResult {
 class RootNode {
  public:
   /// `checkpoint` (optional, not owned) persists the global model, round
-  /// counter, accumulated result and the mirrored topology after every
+  /// counter, accumulated result and the joined-worker ledger after every
   /// `checkpoint_every`-th aggregation.  With `resume` the latest snapshot
   /// is restored in the constructor: the root starts a fresh join phase (its
   /// sockets died with the old process) but the join echo carries the
   /// restored round, so resuming workers slot into the right quorum.
   /// With config.tree set the root sits on top of an N-level tree: it
   /// expects branching[0] aggregator children instead of config.workers
-  /// workers, and the 2-level topology mirror is skipped (the children are
-  /// interior processes, not bottom clusters).
+  /// workers.
   RootNode(FederationConfig config, Transport& transport,
            obs::Recorder* recorder = nullptr, ckpt::Store* checkpoint = nullptr,
            std::size_t checkpoint_every = 1, bool resume = false);
@@ -317,14 +314,9 @@ class RootNode {
   void on_peer_loss(NodeId peer);
   void on_peer_reconnect(NodeId peer);
   void begin_training();
-  /// (Re)arm the streaming accumulator for the round about to be collected;
-  /// no-op (materialize-first) when the root rule cannot stream.
-  void arm_stream();
   void maybe_aggregate();  // fires once every live worker's update arrived
   void maybe_finish();
   void finish_now();  // kDone transition + blackbox bookkeeping
-  void apply_churn(NodeId worker);
-  void apply_rejoin(NodeId worker);
   void save_checkpoint();
   void restore_checkpoint();
   /// Answer a status probe (live introspection — works in every phase): the
@@ -342,7 +334,6 @@ class RootNode {
   std::size_t resume_round_ = 0;
   FederationData data_;
   std::unique_ptr<agg::Aggregator> rule_;
-  topology::HflTree tree_;  // mirrored topology the churn events update
   hier::Collector collector_;  // the down-facing protocol mechanics
   Phase phase_ = Phase::kJoining;
   std::vector<float> global_;

@@ -15,8 +15,6 @@ namespace bb = obs::blackbox;
 namespace rot = consensus::rotation;
 
 using hier::deadline_ns;
-using hier::EchoEstimate;
-using hier::estimate_from_echo;
 using hier::wall_now;
 
 namespace {
@@ -47,6 +45,13 @@ TopClusterNode::TopClusterNode(FederationConfig config, std::size_t top_index,
       data_(build_federation_data(config_)),
       rule_(agg::make_aggregator(config_.root_rule)),
       raft_(rotation_config(config_, id_)),
+      // rejoin_grace_s stays 0: evictions are committed log entries, and the
+      // committee never holds a round open for an evicted worker.
+      collector_(transport, {.self = id_,
+                             .first_child = worker_node_id(0),
+                             .link_class = kLeaderLinkClass,
+                             .codec = codec_from_config(config_),
+                             .trace = config_.trace}),
       global_(data_.init_params) {
   raft_.on_commit = [this](const RaftLogEntry& entry) { apply_entry(entry); };
   raft_.on_leader_change = [this](std::uint64_t term, NodeId leader,
@@ -58,13 +63,12 @@ TopClusterNode::TopClusterNode(FederationConfig config, std::size_t top_index,
   if (config_.trace) transport_.set_tracing(true);
 }
 
-std::size_t TopClusterNode::expected_initial() const noexcept {
-  return config_.initial_workers != 0 ? config_.initial_workers : config_.workers;
-}
-
 bool TopClusterNode::join_gate_met(double now) const {
-  if (live_.empty()) return false;
-  return round_ > 0 || live_.size() >= expected_initial() || now >= join_deadline_;
+  const std::size_t live = collector_.live().size();
+  const std::size_t expected =
+      config_.initial_workers != 0 ? config_.initial_workers : config_.workers;
+  if (live == 0) return false;
+  return round_ > 0 || live >= expected || now >= join_deadline_;
 }
 
 void TopClusterNode::start() {
@@ -104,17 +108,16 @@ void TopClusterNode::on_idle() {
     // leader would otherwise stay "live" forever and hold the shutdown.
     // propose_membership dedups in-flight subjects, so this is idempotent.
     for (const NodeId worker : lost_workers_) {
-      if (live_.find(worker) != live_.end() &&
-          leaving_.find(worker) == leaving_.end()) {
+      if (collector_.live().count(worker) != 0 && leaving_.count(worker) == 0) {
         propose_membership(rot::EntryType::kMemberEvict, worker, nullptr);
       }
     }
     if (started_training_ && phase_ == Phase::kTraining && now >= round_deadline_) {
       // Round deadline: live members that never delivered are treated as
       // lost — through the log, so the shrunken view is the agreed one.
-      const std::set<NodeId> live = live_;
+      const std::set<NodeId> live = collector_.live();
       for (const NodeId worker : live) {
-        if (pending_.find(worker) == pending_.end()) {
+        if (!collector_.has_update(worker)) {
           propose_membership(rot::EntryType::kMemberEvict, worker, nullptr);
         }
       }
@@ -122,8 +125,8 @@ void TopClusterNode::on_idle() {
     }
     // A leader with nothing to coordinate past the join deadline: nothing
     // will ever run, so don't hang the process.
-    if (phase_ == Phase::kJoining && now >= join_deadline_ && live_.empty() &&
-        joined_.empty() && pending_joins_.empty()) {
+    if (phase_ == Phase::kJoining && now >= join_deadline_ &&
+        collector_.joined().empty() && pending_joins_.empty()) {
       finish_now();
       return;
     }
@@ -136,12 +139,6 @@ void TopClusterNode::on_message(WireMessage& msg) {
   // the protocol.
   if (msg.kind == MsgKind::kStatusRequest) {
     reply_status(std::get<StatusRequest>(msg.payload), msg.env.from);
-    return;
-  }
-  if (msg.kind == MsgKind::kStatusReply) {
-    const auto& reply = std::get<StatusReply>(msg.payload);
-    const EchoEstimate est = estimate_from_echo(reply.echo_wall_ns, reply.wall_ns);
-    transport_.note_rtt(msg.env.from, kLeaderLinkClass, est.rtt_ms, est.offset_ns);
     return;
   }
   const double now = wall_now();
@@ -184,10 +181,10 @@ void TopClusterNode::on_message(WireMessage& msg) {
       // future leader already holds the advertisement.
       pending_joins_[msg.env.from] = member;
       if (raft_.is_leader()) {
-        if (live_.find(msg.env.from) != live_.end()) {
+        if (collector_.live().count(msg.env.from) != 0) {
           // Already a committed member (a restarted process re-joining the
           // same view): re-echo the committed round directly.
-          echo_join(msg.env.from, round_);
+          collector_.echo_join(msg.env.from, round_);
         } else {
           propose_membership(rot::EntryType::kMemberJoin, msg.env.from, &member);
         }
@@ -195,7 +192,7 @@ void TopClusterNode::on_message(WireMessage& msg) {
     } else if (member.event == Membership::Event::kLeave) {
       leaving_.insert(msg.env.from);
       transport_.expect_close(msg.env.from);  // its EOF is not churn
-      if (raft_.is_leader() && live_.find(msg.env.from) != live_.end()) {
+      if (raft_.is_leader() && collector_.live().count(msg.env.from) != 0) {
         propose_membership(rot::EntryType::kMemberLeave, msg.env.from, nullptr);
       }
     }
@@ -203,12 +200,8 @@ void TopClusterNode::on_message(WireMessage& msg) {
   }
   if (msg.kind == MsgKind::kModelUpdate) {
     if (!raft_.is_leader() || phase_ != Phase::kTraining) return;
-    if (msg.env.round != round_) return;  // stale retransmission
-    if (live_.find(msg.env.from) == live_.end()) return;
-    if (pending_.find(msg.env.from) != pending_.end()) return;  // duplicate
     auto& update = std::get<ModelUpdate>(msg.payload);
-    pending_[msg.env.from] = std::move(update.params);
-    maybe_aggregate();
+    if (collector_.accept_update(msg.env, update, round_)) maybe_aggregate();
     return;
   }
 }
@@ -232,8 +225,8 @@ void TopClusterNode::on_peer_loss(NodeId peer) {
   // leader turns a loss into an agreed eviction; followers learn it from the
   // log, and a new leader reconciles the set on its idle tick.
   lost_workers_.insert(peer);
-  if (raft_.is_leader() && live_.find(peer) != live_.end() &&
-      leaving_.find(peer) == leaving_.end()) {
+  if (raft_.is_leader() && collector_.live().count(peer) != 0 &&
+      leaving_.count(peer) == 0) {
     propose_membership(rot::EntryType::kMemberEvict, peer, nullptr);
   }
 }
@@ -248,15 +241,9 @@ void TopClusterNode::propose_membership(rot::EntryType type, NodeId subject,
   entry.subject = subject;
   if (member != nullptr) {
     entry.samples = member->subtree_samples;
-    // Same negotiation as the classic collector: the advertisement bounded
-    // by our own config.  The outcome rides the log so EVERY member can
-    // program the link identically on commit.
-    const Codec own = codec_from_config(config_);
-    Codec chosen = member->codec;
-    chosen.quantize_bits = std::min(chosen.quantize_bits, own.quantize_bits);
-    chosen.topk = (chosen.topk != 0 && own.topk != 0) ? std::min(chosen.topk, own.topk)
-                                                      : 0;
-    chosen.delta = chosen.delta && own.delta;
+    // The negotiated codec rides the log so EVERY member can program the
+    // link identically on commit.
+    const Codec chosen = collector_.negotiate(member->codec);
     entry.quantize_bits = chosen.quantize_bits;
     entry.topk = chosen.topk;
     entry.delta = chosen.delta ? 1 : 0;
@@ -267,8 +254,7 @@ void TopClusterNode::propose_membership(rot::EntryType type, NodeId subject,
   flush_raft();
 }
 
-void TopClusterNode::record_view(const char* reason_key, double reason, NodeId member) {
-  (void)reason_key;
+void TopClusterNode::record_view(double reason, NodeId member) {
   if (recorder_ == nullptr) return;
   obs::RoundRecord& rec = recorder_->begin_round("dist_view", round_);
   rec.set("reason", reason);
@@ -288,8 +274,8 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       for (const auto& [worker, member] : pending_joins_) {
         // Only advertisements that never resolved: a worker already in the
         // committed view, already departed, or mid-leave is NOT re-proposed.
-        if (live_.find(worker) == live_.end() && left_.find(worker) == left_.end() &&
-            leaving_.find(worker) == leaving_.end()) {
+        if (collector_.live().count(worker) == 0 &&
+            collector_.left().count(worker) == 0 && leaving_.count(worker) == 0) {
           propose_membership(rot::EntryType::kMemberJoin, worker, &member);
         }
       }
@@ -297,51 +283,52 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       return;
     }
     case rot::EntryType::kMemberJoin: {
-      live_.insert(entry.subject);
-      left_.erase(entry.subject);
       leaving_.erase(entry.subject);
       // A committed (re)join supersedes any remembered link death — without
       // this, a worker rejoining after a crash would be re-evicted on the
       // leader's next reconciliation tick.
       lost_workers_.erase(entry.subject);
-      joined_[entry.subject] = entry.samples;
       proposal_inflight_.erase(entry.subject);
-      // Program the link exactly as the committing leader negotiated it —
-      // on every member, so any future leader serves the worker identically.
-      Codec codec;
-      codec.quantize_bits = entry.quantize_bits;
-      codec.topk = entry.topk;
-      codec.delta = entry.delta != 0;
-      transport_.set_peer_codec(entry.subject, codec);
-      transport_.set_peer_tracing(entry.subject, entry.trace != 0);
+      // Admit the worker with the link exactly as the committing leader
+      // negotiated it — on every member, so any future leader serves the
+      // worker identically.  (Re-negotiating a negotiated codec is a no-op.)
+      Membership member;
+      member.event = Membership::Event::kJoin;
+      member.subtree_samples = entry.samples;
+      member.codec.quantize_bits = entry.quantize_bits;
+      member.codec.topk = entry.topk;
+      member.codec.delta = entry.delta != 0;
+      member.trace = entry.trace != 0;
+      const auto join = pending_joins_.find(entry.subject);
+      if (join != pending_joins_.end()) member.wall_ns = join->second.wall_ns;
+      collector_.on_join(entry.subject, member, round_);
       bb::record(bb::EventType::kViewChange,
                  static_cast<std::uint16_t>(rot::ViewReason::kMemberJoin), id_, round_,
                  raft_.term(), entry.subject);
-      bb::set_peer(entry.subject, 0, round_);
-      record_view("join", static_cast<double>(rot::ViewReason::kMemberJoin),
-                  entry.subject);
+      record_view(static_cast<double>(rot::ViewReason::kMemberJoin), entry.subject);
       if (raft_.is_leader()) {
         if (started_training_) {
-          echo_join(entry.subject, round_);  // mid-run joiner starts now
+          collector_.echo_join(entry.subject, round_);  // mid-run joiner starts now
         } else if (join_gate_met(now)) {
           start_or_resume_training();
         }
       }
       // The advertisement is RESOLVED: drop it so no future takeover can
-      // re-propose it.  A worker evicted after this commit is not in live_,
-      // left_, or leaving_ — a stale advertisement would pass the takeover's
+      // re-propose it.  A worker evicted after this commit is neither live,
+      // left nor leaving — a stale advertisement would pass the takeover's
       // unresolved check and resurrect a dead member into the view.
       pending_joins_.erase(entry.subject);
       return;
     }
     case rot::EntryType::kMemberLeave:
     case rot::EntryType::kMemberEvict: {
+      // The collector drops a departed member's buffered update: it never
+      // counts toward the round.
       const bool leave = type == rot::EntryType::kMemberLeave;
-      live_.erase(entry.subject);
       if (leave) {
-        left_.insert(entry.subject);
-        transport_.expect_close(entry.subject);
+        collector_.on_leave(entry.subject, round_);
       } else {
+        (void)collector_.evict(entry.subject, round_, now);
         ++result_.workers_lost;
       }
       leaving_.erase(entry.subject);
@@ -349,17 +336,14 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       // Any advertisement this departure supersedes dies with it — only a
       // FRESH join (a new message, not a takeover replay) may re-admit.
       pending_joins_.erase(entry.subject);
-      pending_.erase(entry.subject);  // a departed member's update never counts
       proposal_inflight_.erase(entry.subject);
       const auto reason =
           leave ? rot::ViewReason::kMemberLeave : rot::ViewReason::kMemberEvict;
       bb::record(bb::EventType::kViewChange, static_cast<std::uint16_t>(reason), id_,
                  round_, raft_.term(), entry.subject);
-      bb::set_peer(entry.subject, leave ? 2 : 1, round_);
-      record_view(leave ? "leave" : "evict", static_cast<double>(reason),
-                  entry.subject);
-      if (live_.empty() && !joined_.empty() && phase_ != Phase::kDone &&
-          phase_ != Phase::kFinishing) {
+      record_view(static_cast<double>(reason), entry.subject);
+      if (collector_.live().empty() && !collector_.joined().empty() &&
+          phase_ != Phase::kDone && phase_ != Phase::kFinishing) {
         // Everyone who ever joined is gone: the run is over.  Derived from
         // the LOG, so followers wind down on the same committed entry the
         // leader does — no election is needed just to exit.
@@ -384,37 +368,15 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       if (recorder_ != nullptr) {
         obs::RoundRecord& rec = recorder_->begin_round("dist_root", entry.round);
         rec.set("accuracy", accuracy);
-        rec.set("live_workers", static_cast<double>(live_.size()));
+        rec.set("live_workers", static_cast<double>(collector_.live().size()));
         rec.set("inputs", static_cast<double>(entry.samples));
       }
       round_ = static_cast<std::size_t>(entry.round) + 1;
       bb::record(bb::EventType::kRound, 0, id_, round_ - 1, entry.samples);
       bb::note_progress(round_);
       if (raft_.is_leader()) {
-        pending_.clear();
-        Payload payload(std::in_place_type<PartialModel>);
-        auto& partial = std::get<PartialModel>(payload);
-        partial.origin = id_;
-        partial.flag_level = 0;
-        partial.is_global = true;
-        partial.alpha = static_cast<float>(config_.alpha);
-        partial.flag_fraction = 1.0;
-        partial.params = global_;  // the log entry keeps its own copy
-        // The commit lands inside an UNTRACED committee net_recv (the ack
-        // that advanced the commit index), so stack parenting would pin the
-        // broadcast's net_send spans to trace 0 and orphan every worker's
-        // net_recv.  An explicitly-placed round-root span (the aggregator's
-        // subtree_agg trick) keeps the cross-process edges in this round's
-        // tree instead.
-        obs::TraceBuffer* sink = transport_.trace_sink();
-        const std::uint64_t trace_id =
-            obs::make_trace_id(config_.seed, static_cast<std::uint64_t>(entry.round));
-        if (sink != nullptr) sink->set_trace_id(trace_id);
-        obs::Span bcast_span(sink, "global_agg", obs::SpanContext{trace_id, 0, true},
-                             static_cast<std::size_t>(entry.round), id_);
-        for (const NodeId worker : live_) {
-          (void)transport_.send({id_, worker, entry.round}, payload, kLeaderLinkClass);
-        }
+        collector_.arm(nullptr);  // the next round starts empty
+        broadcast_global(global_, entry.round);  // the log keeps its own copy
         round_deadline_ = now + config_.round_timeout_s;
       }
       // Phase tracks the LOG on every member, not just the leader: a
@@ -451,32 +413,18 @@ void TopClusterNode::on_leader_change(std::uint64_t term, NodeId leader,
     bb::record(bb::EventType::kViewChange,
                static_cast<std::uint16_t>(rot::ViewReason::kLeaderLost), id_, round_,
                term, leader);
-    record_view("leader_lost", static_cast<double>(rot::ViewReason::kLeaderLost),
-                leader);
+    record_view(static_cast<double>(rot::ViewReason::kLeaderLost), leader);
   }
-}
-
-void TopClusterNode::echo_join(NodeId worker, std::size_t round) {
-  Membership echo;
-  echo.event = Membership::Event::kJoin;
-  echo.device = id_;
-  echo.cluster = worker >= 1 ? worker - 1 : 0;
-  echo.codec = transport_.codec_for(worker);
-  echo.trace = config_.trace;
-  echo.wall_ns = obs::wall_clock_ns();
-  const auto join = pending_joins_.find(worker);
-  echo.echo_wall_ns = join != pending_joins_.end() ? join->second.wall_ns : 0;
-  (void)transport_.send({id_, worker, round}, echo, kLeaderLinkClass);
 }
 
 void TopClusterNode::start_or_resume_training() {
   started_training_ = true;
   if (phase_ == Phase::kJoining) {
     phase_ = Phase::kTraining;
-    result_.workers_joined = live_.size();
-    bb::record(bb::EventType::kPhase, 1, id_, round_, live_.size());
+    result_.workers_joined = collector_.live().size();
+    bb::record(bb::EventType::kPhase, 1, id_, round_, collector_.live().size());
   }
-  pending_.clear();
+  collector_.arm(nullptr);
   // Re-broadcast the last COMMITTED model first: a worker that missed the
   // dead leader's broadcast merges it and catches up to round_; a worker
   // already at round_ ignores the stale round.  Then the join echoes tell
@@ -490,29 +438,37 @@ void TopClusterNode::start_or_resume_training() {
         rot::EntryType::kModelCommit) {
       continue;
     }
-    Payload payload(std::in_place_type<PartialModel>);
-    auto& partial = std::get<PartialModel>(payload);
-    partial.origin = id_;
-    partial.is_global = true;
-    partial.alpha = static_cast<float>(config_.alpha);
-    partial.flag_fraction = 1.0;
-    partial.params = entry.params;
-    // Same explicit span placement as the commit broadcast: the takeover
-    // runs under an untraced committee frame, not this round's tree.
-    obs::TraceBuffer* sink = transport_.trace_sink();
-    const std::uint64_t trace_id =
-        obs::make_trace_id(config_.seed, static_cast<std::uint64_t>(entry.round));
-    if (sink != nullptr) sink->set_trace_id(trace_id);
-    obs::Span bcast_span(sink, "global_agg", obs::SpanContext{trace_id, 0, true},
-                         static_cast<std::size_t>(entry.round), id_);
-    for (const NodeId worker : live_) {
-      (void)transport_.send({id_, worker, entry.round}, payload, kLeaderLinkClass);
-    }
+    std::vector<float> params = entry.params;
+    broadcast_global(params, entry.round);
     break;
   }
-  for (const NodeId worker : live_) echo_join(worker, round_);
+  collector_.echo_joins(round_);
   round_deadline_ = wall_now() + config_.round_timeout_s;
   bb::set_phase(1, round_, deadline_ns(round_deadline_));
+}
+
+void TopClusterNode::broadcast_global(std::vector<float>& params, std::uint64_t round) {
+  // The payload borrows `params` for the fan-out.
+  Payload payload(std::in_place_type<PartialModel>);
+  auto& partial = std::get<PartialModel>(payload);
+  partial.origin = id_;
+  partial.is_global = true;
+  partial.alpha = static_cast<float>(config_.alpha);
+  partial.flag_fraction = 1.0;
+  partial.params = std::move(params);
+  // Both callers run inside an UNTRACED committee frame (the ack that
+  // advanced the commit index, or the takeover's), so stack parenting would
+  // pin the broadcast's net_send spans to trace 0 and orphan every worker's
+  // net_recv.  An explicitly-placed round-root span (the aggregator's
+  // subtree_agg trick) keeps the cross-process edges in this round's tree
+  // instead.
+  obs::TraceBuffer* sink = transport_.trace_sink();
+  const std::uint64_t trace_id = obs::make_trace_id(config_.seed, round);
+  if (sink != nullptr) sink->set_trace_id(trace_id);
+  obs::Span bcast_span(sink, "global_agg", obs::SpanContext{trace_id, 0, true},
+                       static_cast<std::size_t>(round), id_);
+  collector_.fan_out(payload, round);
+  params = std::move(partial.params);
 }
 
 void TopClusterNode::maybe_aggregate() {
@@ -520,19 +476,11 @@ void TopClusterNode::maybe_aggregate() {
   // A membership change awaiting commit holds the round: the agreed view
   // must be settled before the quorum it defines can close.
   if (raft_.membership_in_flight()) return;
-  if (live_.empty()) return;
-  for (const NodeId worker : live_) {
-    if (pending_.find(worker) == pending_.end()) return;
-  }
-  // Deterministic input order: pending_ is keyed by node id; std::map
-  // iterates ascending — bitwise the reference loop's fold order.
-  std::vector<agg::ModelVec> inputs;
-  inputs.reserve(pending_.size());
-  for (auto& [worker, params] : pending_) inputs.push_back(std::move(params));
-  pending_.clear();
-  const std::size_t n_inputs = inputs.size();
-  rule_->set_reference(global_);
-  std::vector<float> out = rule_->aggregate(inputs);
+  if (!collector_.quorum_complete(wall_now())) return;
+  // The materialized fold consumes the updates in ascending node id —
+  // bitwise the reference loop's fold order.
+  std::size_t n_inputs = 0;
+  std::vector<float> out = collector_.finish(*rule_, global_, n_inputs);
   const std::uint64_t digest = nn::params_digest(out);
   // Append, replicate, and WAIT: the model is acted upon (installed,
   // broadcast) only when apply_entry sees it commit.
@@ -542,7 +490,7 @@ void TopClusterNode::maybe_aggregate() {
 
 void TopClusterNode::maybe_finish() {
   if (phase_ != Phase::kFinishing) return;
-  if (!live_.empty()) return;
+  if (!collector_.live().empty()) return;
   if (!raft_.is_leader()) {
     // Everything this member will ever need is applied; the final ack is
     // already on the wire toward the leader.
@@ -576,7 +524,7 @@ void TopClusterNode::reply_status(const StatusRequest& request, NodeId to) {
   reply.probe = request.probe;
   reply.round = round_;
   reply.phase = static_cast<std::uint8_t>(phase_);
-  reply.live_workers = static_cast<std::uint32_t>(live_.size());
+  reply.live_workers = static_cast<std::uint32_t>(collector_.live().size());
   reply.level = 0;
   reply.parent = raft_.is_leader() || raft_.leader() == rot::kNoLeader
                      ? kStatusNoParent
@@ -587,16 +535,7 @@ void TopClusterNode::reply_status(const StatusRequest& request, NodeId to) {
   reply.leader = raft_.leader() == rot::kNoLeader ? kStatusNoParent : raft_.leader();
   reply.commit_index = raft_.commit_index();
   reply.view_reason = static_cast<std::uint8_t>(raft_.last_view_reason());
-  for (const auto& [worker, samples] : joined_) {
-    StatusPeer peer;
-    peer.node = worker;
-    peer.state = live_.count(worker) != 0 ? 0 : (left_.count(worker) != 0 ? 2 : 1);
-    const LinkTelemetry link = transport_.peer_telemetry(worker);
-    peer.rtt_ms = static_cast<float>(link.rtt_ms);
-    peer.bytes_sent = link.bytes_sent;
-    peer.bytes_received = link.bytes_received;
-    reply.peers.push_back(peer);
-  }
+  collector_.append_status_peers(reply);
   for (std::size_t t = 0; t < config_.top_cluster; ++t) {
     const NodeId member = top_node_id(t);
     if (member == id_) continue;

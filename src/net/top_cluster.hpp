@@ -5,12 +5,15 @@
 // leader among themselves with the consensus::rotation protocol and the
 // LEADER plays the classic root — it gates the join phase, collects the
 // round's worker updates in ascending id order, aggregates with the root
-// rule, and broadcasts the result.  The difference is durability: the
-// aggregated model is NOT broadcast until it has been replicated and
-// committed through the rotation log, so when the leader dies at any
-// instant, the member that wins the next election holds every committed
-// round bitwise-identically and the federation resumes inside the round
-// it stalled in:
+// rule, and broadcasts the result.  Collection is the same hier::Collector
+// every other tier uses; this class adds only what agreement needs: the
+// elections, the log, commit-before-broadcast, the takeover, and the
+// proposal buffers that feed membership into the log.  The difference is
+// durability: the aggregated model is NOT broadcast until it has been
+// replicated and committed through the rotation log, so when the leader
+// dies at any instant, the member that wins the next election holds every
+// committed round bitwise-identically and the federation resumes inside
+// the round it stalled in:
 //
 //   1. the new leader re-broadcasts the last COMMITTED global model — a
 //      worker that missed the dead leader's broadcast merges it now, a
@@ -24,11 +27,14 @@
 //
 // Worker membership is first-class: joins, leaves and evictions are
 // replicated log entries (one view change in flight at a time), carrying
-// the subtree samples and the negotiated per-link codec, so EVERY member —
-// not just whoever handled the handshake — can adopt a worker the moment
-// it becomes leader.  This replaces the classic root's ad-hoc rejoin path:
-// a worker rejoining under a new leader is echoed the committed round, not
-// a stale one.
+// the subtree samples and the negotiated per-link codec, and every member
+// applies them to its collector on commit — so EVERY member, not just
+// whoever handled the handshake, can adopt a worker the moment it becomes
+// leader.  The collector runs materialize-first: a committed eviction must
+// be able to drop an update that already arrived, and a streaming fold
+// cannot un-fold an input.  This replaces the classic root's ad-hoc rejoin
+// path: a worker rejoining under a new leader is echoed the committed
+// round, not a stale one.
 
 #include <cstdint>
 #include <map>
@@ -39,6 +45,7 @@
 
 #include "agg/aggregator.hpp"
 #include "consensus/rotation.hpp"
+#include "net/hier/roles.hpp"
 #include "net/node.hpp"
 #include "net/transport.hpp"
 
@@ -89,7 +96,6 @@ class TopClusterNode {
   void on_peer_loss(NodeId peer);
   /// Put every frame the rotation state machine generated on the wire.
   void flush_raft();
-  [[nodiscard]] std::size_t expected_initial() const noexcept;
   [[nodiscard]] bool join_gate_met(double now) const;
   /// Leader only: propose a membership entry unless one for `subject` is
   /// already queued or in flight.
@@ -103,12 +109,14 @@ class TopClusterNode {
   /// re-broadcast the last committed model, echo every member's join with
   /// the current round, re-arm collection.
   void start_or_resume_training();
-  void echo_join(NodeId worker, std::size_t round);
+  /// Leader only: send a committed global model to every live worker,
+  /// borrowing `params` for the fan-out.
+  void broadcast_global(std::vector<float>& params, std::uint64_t round);
   void maybe_aggregate();
   void maybe_finish();
   void finish_now();
   void reply_status(const StatusRequest& request, NodeId to);
-  void record_view(const char* reason_key, double reason, NodeId member);
+  void record_view(double reason, NodeId member);
 
   FederationConfig config_;
   std::size_t index_;
@@ -118,22 +126,21 @@ class TopClusterNode {
   FederationData data_;
   std::unique_ptr<agg::Aggregator> rule_;
   consensus::rotation::Node raft_;
+  // Committed worker view and the leader's round collection.  Membership is
+  // applied from committed log entries only, so the view is identical on
+  // every member.
+  hier::Collector collector_;
   Phase phase_ = Phase::kJoining;
   bool started_training_ = false;
   std::vector<float> global_;  // last committed global model
   std::size_t round_ = 0;      // round currently being collected
   double join_deadline_ = 0.0;
   double round_deadline_ = 0.0;
-  // Committed worker view (identical on every member, rebuilt from the log).
-  std::set<NodeId> live_;
-  std::set<NodeId> left_;
-  std::map<NodeId, std::uint64_t> joined_;  // ever-joined -> subtree samples
   // Local (uncommitted) buffers.
   std::map<NodeId, Membership> pending_joins_;  // broadcast joins seen
   std::set<NodeId> leaving_;                    // leave received, not committed
   std::set<NodeId> proposal_inflight_;          // membership proposed, uncommitted
   std::set<NodeId> lost_workers_;               // links died, eviction not committed
-  std::map<NodeId, std::vector<float>> pending_;  // round's updates (leader)
   std::map<NodeId, std::uint64_t> peer_commit_;   // followers' applied progress
   std::set<NodeId> dead_tops_;
   RootResult result_;

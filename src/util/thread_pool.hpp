@@ -58,32 +58,39 @@ class ThreadPool {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Enqueue a task; returns a future for its completion.
+  /// Enqueue a task; returns a future for its completion.  The task is
+  /// counted in stats() before it can run and again before its future
+  /// becomes ready, so a caller that waited on every future reads exact
+  /// submitted/completed totals.
   template <class F>
   std::future<void> submit(F&& f) {
-    auto task = std::make_shared<std::packaged_task<void()>>(std::forward<F>(f));
-    std::future<void> fut = task->get_future();
     const auto enqueued = std::chrono::steady_clock::now();
+    auto task = std::make_shared<std::packaged_task<void()>>(
+        [this, fn = std::forward<F>(f), enqueued]() mutable {
+          const auto begin = std::chrono::steady_clock::now();
+          wait_ns_.fetch_add(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(begin - enqueued)
+                  .count(),
+              std::memory_order_relaxed);
+          // Counted before the packaged_task publishes the result (or the
+          // exception) to the future.
+          try {
+            fn();
+          } catch (...) {
+            note_done(begin);
+            throw;
+          }
+          note_done(begin);
+        });
+    std::future<void> fut = task->get_future();
     {
       std::lock_guard lock(mutex_);
-      queue_.emplace([this, task, enqueued]() mutable {
-        const auto begin = std::chrono::steady_clock::now();
-        wait_ns_.fetch_add(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(begin - enqueued)
-                .count(),
-            std::memory_order_relaxed);
-        (*task)();
-        busy_ns_.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - begin)
-                               .count(),
-                           std::memory_order_relaxed);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-      });
+      submitted_.fetch_add(1, std::memory_order_relaxed);
+      queue_.emplace([task] { (*task)(); });
       if (queue_.size() > queue_peak_.load(std::memory_order_relaxed)) {
         queue_peak_.store(queue_.size(), std::memory_order_relaxed);
       }
     }
-    submitted_.fetch_add(1, std::memory_order_relaxed);
     cv_.notify_one();
     return fut;
   }
@@ -108,6 +115,13 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  void note_done(std::chrono::steady_clock::time_point begin) noexcept {
+    busy_ns_.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - begin)
+                           .count(),
+                       std::memory_order_relaxed);
+    completed_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;

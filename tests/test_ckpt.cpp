@@ -601,6 +601,40 @@ TEST(Federation, LoopbackResumeBitIdentical) {
   EXPECT_EQ(resumed.result.final_accuracy, uninterrupted.result.final_accuracy);
 }
 
+TEST(Federation, RootResumesSnapshotCarryingLegacyTopologyChunk) {
+  // Root snapshots of older builds carry a TOPO topology-mirror chunk that
+  // nothing reads any more: the root must skip it and resume bitwise.
+  const auto uninterrupted = run_loopback(fed_config(4), nullptr, {}, false);
+  const auto root_dir = fresh_dir("legacy_root");
+  const auto w0_dir = fresh_dir("legacy_w0");
+  const auto w1_dir = fresh_dir("legacy_w1");
+  {
+    ckpt::Store root_store(root_dir, 3);
+    ckpt::Store w0_store(w0_dir, 3);
+    ckpt::Store w1_store(w1_dir, 3);
+    (void)run_loopback(fed_config(2), &root_store, {&w0_store, &w1_store}, false);
+    auto snap = root_store.load_latest();
+    ASSERT_TRUE(snap.has_value());
+    ckpt::PayloadWriter topo;  // an empty tree in the old encoding
+    topo.u64(0);
+    snap->chunks.push_back({ckpt::fourcc("TOPO"), topo.take()});
+    root_store.save_now(snap->round, ckpt::encode_container(*snap));
+  }
+
+  ckpt::Store root_store(root_dir, 3);
+  ckpt::Store w0_store(w0_dir, 3);
+  ckpt::Store w1_store(w1_dir, 3);
+  const auto resumed = run_loopback(fed_config(4), &root_store,
+                                    {&w0_store, &w1_store}, true);
+  EXPECT_EQ(resumed.worker_resume_rounds, (std::vector<std::size_t>{2, 2, 2}));
+  ASSERT_EQ(resumed.result.global_model.size(),
+            uninterrupted.result.global_model.size());
+  EXPECT_EQ(std::memcmp(resumed.result.global_model.data(),
+                        uninterrupted.result.global_model.data(),
+                        resumed.result.global_model.size() * sizeof(float)),
+            0);
+}
+
 // ---------------------------------------------------------------------------
 // Kill/resume over real TCP: a worker "dies" mid-training (its transport
 // closes unannounced, its node state is destroyed), then a fresh WorkerNode

@@ -9,8 +9,10 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <set>
 #include <vector>
 
+#include "agg/aggregator.hpp"
 #include "ckpt/store.hpp"
 #include "core/trainer.hpp"
 #include "net/hier/aggregator.hpp"
@@ -88,6 +90,198 @@ TEST(HierPlan, SpecParsingAndBfsArithmetic) {
   EXPECT_FALSE(topology::parse_tree_spec("1000,2", reject));
   EXPECT_TRUE(reject.branching.empty());
 }
+
+// ---------------------------------------------------------------------------
+// Collector contract (DESIGN.md §14.1): membership and per-round collection
+// on a bare collector, no node around it.
+
+using net::hier::Collector;
+
+Collector::Options collector_opts() {
+  Collector::Options opts;
+  opts.self = net::kRootId;
+  opts.expected_children = 3;
+  return opts;
+}
+
+void join(Collector& collector, net::NodeId child) {
+  net::Membership member;
+  member.event = net::Membership::Event::kJoin;
+  member.subtree_samples = 1;
+  collector.on_join(child, member, 0);
+}
+
+/// Offer `params` from `child` for round 0 on the decoded path.
+bool offer(Collector& collector, net::NodeId child, std::vector<float> params) {
+  net::ModelUpdate update;
+  update.sender = child;
+  update.level = 1;
+  update.samples = 1;
+  update.params = std::move(params);
+  return collector.accept_update({child, net::kRootId, 0}, update, 0);
+}
+
+std::vector<float> finish_mean(Collector& collector, agg::Aggregator& rule,
+                               std::size_t& n_inputs) {
+  const std::vector<float> reference(2, 0.0f);
+  return collector.finish(rule, reference, n_inputs);
+}
+
+TEST(HierCollector, FirstUpdateWinsMaterializedAndStreaming) {
+  for (const bool streaming : {false, true}) {
+    SCOPED_TRACE(streaming ? "streaming" : "materialized");
+    net::LoopbackTransport transport;
+    Collector collector(transport, collector_opts());
+    join(collector, 1);
+    join(collector, 2);
+    const auto rule = agg::make_aggregator("mean");
+    collector.arm(streaming ? rule->make_stream(2) : nullptr);
+
+    // Child 2 first, so the streaming path buffers it behind child 1's gap
+    // and the duplicate meets a buffered update, not a folded one.
+    EXPECT_TRUE(offer(collector, 2, {4.0f, 4.0f}));
+    EXPECT_FALSE(offer(collector, 2, {100.0f, 100.0f}));
+    EXPECT_TRUE(offer(collector, 1, {2.0f, 2.0f}));
+    EXPECT_FALSE(offer(collector, 1, {100.0f, 100.0f}));  // folded duplicate
+    ASSERT_TRUE(collector.quorum_complete(0.0));
+
+    std::size_t n_inputs = 0;
+    const std::vector<float> out = finish_mean(collector, *rule, n_inputs);
+    EXPECT_EQ(n_inputs, 2u);
+    EXPECT_EQ(out, (std::vector<float>{3.0f, 3.0f}));
+  }
+}
+
+TEST(HierCollector, LeaveDropsMemberAndItsBufferedUpdate) {
+  net::LoopbackTransport transport;
+  Collector collector(transport, collector_opts());
+  for (net::NodeId child = 1; child <= 3; ++child) join(collector, child);
+  const auto rule = agg::make_aggregator("mean");
+  collector.arm(nullptr);
+  EXPECT_TRUE(offer(collector, 1, {2.0f, 2.0f}));
+  EXPECT_TRUE(offer(collector, 2, {100.0f, 100.0f}));
+
+  collector.on_leave(2, 0);
+  EXPECT_EQ(collector.live(), (std::set<net::NodeId>{1, 3}));
+  EXPECT_EQ(collector.left(), (std::set<net::NodeId>{2}));
+  EXPECT_FALSE(collector.has_update(2));
+  EXPECT_FALSE(offer(collector, 2, {100.0f, 100.0f}));  // no longer a member
+  // A member that said goodbye closing its link is not churn.
+  EXPECT_FALSE(collector.evict(2, 0, 0.0));
+
+  EXPECT_FALSE(collector.quorum_complete(0.0));
+  EXPECT_TRUE(offer(collector, 3, {4.0f, 4.0f}));
+  ASSERT_TRUE(collector.quorum_complete(0.0));
+  std::size_t n_inputs = 0;
+  EXPECT_EQ(finish_mean(collector, *rule, n_inputs), (std::vector<float>{3.0f, 3.0f}));
+  EXPECT_EQ(n_inputs, 2u);
+}
+
+TEST(HierCollector, JoinAfterLeaveReadmits) {
+  net::LoopbackTransport transport;
+  Collector collector(transport, collector_opts());
+  join(collector, 1);
+  join(collector, 2);
+  collector.on_leave(2, 0);
+  EXPECT_FALSE(collector.readmit(2, 0));  // a goodbye is not a transient drop
+
+  join(collector, 2);
+  EXPECT_EQ(collector.live(), (std::set<net::NodeId>{1, 2}));
+  EXPECT_TRUE(collector.left().empty());
+  collector.arm(nullptr);
+  EXPECT_TRUE(offer(collector, 2, {1.0f, 1.0f}));
+  // Live again, so losing its link is churn again.
+  EXPECT_TRUE(collector.evict(2, 0, 0.0));
+  EXPECT_FALSE(collector.has_update(2));
+}
+
+TEST(HierCollector, ArmStartsAnEmptyRound) {
+  net::LoopbackTransport transport;
+  Collector collector(transport, collector_opts());
+  join(collector, 1);
+  join(collector, 2);
+  collector.arm(nullptr);
+  EXPECT_TRUE(offer(collector, 1, {1.0f, 1.0f}));
+  EXPECT_TRUE(offer(collector, 2, {1.0f, 1.0f}));
+  ASSERT_TRUE(collector.quorum_complete(0.0));
+
+  collector.arm(nullptr);
+  EXPECT_FALSE(collector.has_update(1));
+  EXPECT_FALSE(collector.has_update(2));
+  EXPECT_FALSE(collector.quorum_complete(0.0));
+  EXPECT_TRUE(offer(collector, 1, {5.0f, 5.0f}));  // the new round's first
+}
+
+TEST(HierCollector, FanOutReachesEveryLiveChild) {
+  net::LoopbackTransport transport;
+  std::vector<net::WireMessage> got;
+  for (net::NodeId child = 1; child <= 3; ++child) {
+    transport.register_node(child, [&](net::WireMessage& msg) { got.push_back(msg); });
+  }
+  Collector collector(transport, collector_opts());
+  for (net::NodeId child = 1; child <= 3; ++child) join(collector, child);
+  collector.on_leave(2, 0);
+
+  net::Payload payload(std::in_place_type<net::PartialModel>);
+  std::get<net::PartialModel>(payload).params = {1.0f, 2.0f};
+  collector.fan_out(payload, 7);
+  net::Payload ping(std::in_place_type<net::StatusRequest>);
+  collector.fan_out(ping, 7);
+  transport.poll(0.0);
+
+  ASSERT_EQ(got.size(), 4u);
+  std::multiset<net::NodeId> to;
+  for (const auto& msg : got) {
+    EXPECT_EQ(msg.env.from, net::kRootId);
+    EXPECT_EQ(msg.env.round, 7u);
+    to.insert(msg.env.to);
+    if (msg.kind == net::MsgKind::kStatusRequest) {
+      EXPECT_NE(std::get<net::StatusRequest>(msg.payload).wall_ns, 0);  // stamped
+    } else {
+      EXPECT_EQ(std::get<net::PartialModel>(msg.payload).params,
+                (std::vector<float>{1.0f, 2.0f}));
+    }
+  }
+  EXPECT_EQ(to, (std::multiset<net::NodeId>{1, 1, 3, 3}));
+}
+
+/// Loopback whose sends to `dead` fail the way a TCP send to a crashed peer
+/// does: the peer-loss handlers run inside send().
+class DeadPeerLoopback : public net::LoopbackTransport {
+ public:
+  net::NodeId dead = 0;
+  net::SendStatus send(const net::Envelope& env, const net::Payload& payload,
+                       std::uint32_t link_class) override {
+    if (env.to != dead) return LoopbackTransport::send(env, payload, link_class);
+    note_peer_loss(env.to);
+    return net::SendStatus::kPeerLost;
+  }
+};
+
+TEST(HierCollector, FanOutSurvivesAnEvictionInsideASend) {
+  // The owner's peer-loss handler evicts the dead child while fan_out is
+  // still walking the children: the walk must not trip over the erased
+  // member, and every other child still gets the payload.
+  DeadPeerLoopback transport;
+  std::vector<net::NodeId> got;
+  for (net::NodeId child = 1; child <= 4; ++child) {
+    transport.register_node(child,
+                            [&](net::WireMessage& msg) { got.push_back(msg.env.to); });
+  }
+  Collector collector(transport, collector_opts());
+  for (net::NodeId child = 1; child <= 4; ++child) join(collector, child);
+  transport.add_peer_loss_handler(
+      [&](net::NodeId peer) { (void)collector.evict(peer, 0, 0.0); });
+  transport.dead = 2;
+
+  net::Payload payload(std::in_place_type<net::PartialModel>);
+  collector.fan_out(payload, 0);
+  transport.poll(0.0);
+  EXPECT_EQ(collector.live(), (std::set<net::NodeId>{1, 3, 4}));
+  EXPECT_EQ(got, (std::vector<net::NodeId>{1, 3, 4}));
+}
+
+// ---------------------------------------------------------------------------
 
 TEST(HierReference, FlatSpecMatchesTwoLevelReference) {
   // A {W, D} tree IS the classic 2-level federation; the N-level reference

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "net/hier/reference.hpp"
 #include "net/loopback.hpp"
 #include "net/node.hpp"
 #include "net/tcp.hpp"
@@ -1141,30 +1142,12 @@ TEST(Node, StreamingRootRuleMatchesTransportFreeReference) {
   config.cluster_rule = "mean";
   config.root_rule = "mean";
 
-  // Transport-free reference (materialize-first, inputs in worker-id order).
-  auto data = build_federation_data(config);
-  std::vector<std::vector<core::LocalTrainer>> trainers(config.workers);
-  std::vector<std::unique_ptr<agg::Aggregator>> cluster_rules;
-  std::vector<std::vector<float>> current(config.workers, data.init_params);
-  for (std::size_t w = 0; w < config.workers; ++w) {
-    trainers[w].push_back(make_device_trainer(config, data, w));
-    cluster_rules.push_back(agg::make_aggregator(config.cluster_rule));
-  }
-  auto root_rule = agg::make_aggregator(config.root_rule);
-  std::vector<float> global = data.init_params;
-  for (std::size_t r = 0; r < config.rounds; ++r) {
-    std::vector<agg::ModelVec> updates;
-    std::vector<std::vector<float>> last(config.workers);
-    for (std::size_t w = 0; w < config.workers; ++w) {
-      last[w] = cluster_round(config, trainers[w], *cluster_rules[w], current[w]);
-      updates.push_back(last[w]);
-    }
-    root_rule->set_reference(global);
-    global = root_rule->aggregate(updates);
-    for (std::size_t w = 0; w < config.workers; ++w) {
-      current[w] = merge_models(global, last[w], config.alpha);
-    }
-  }
+  // Transport-free reference (materialize-first, inputs in worker-id order):
+  // the hier runner on the flat "W,D" spec of the same federation.
+  FederationConfig flat = config;
+  flat.tree = std::to_string(config.workers) + "," +
+              std::to_string(config.devices_per_worker);
+  const std::vector<float> global = hier::run_hier_reference(flat).global_model;
 
   LoopbackTransport transport;
   RootNode root(config, transport);

@@ -13,11 +13,13 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "agg/aggregator.hpp"
 #include "consensus/rotation.hpp"
+#include "net/hier/reference.hpp"
 #include "net/loopback.hpp"
 #include "net/node.hpp"
 #include "net/top_cluster.hpp"
@@ -54,36 +56,13 @@ FederationConfig small_config() {
   return config;
 }
 
-// Transport-free reference for a FIXED worker set: the classic loop the
-// 2-level federation is verified against, worker updates folded in id order.
+// Transport-free reference for a FIXED worker set: the hier runner on the
+// flat "W,D" spec, worker updates folded in id order.
 std::vector<float> reference_global(const FederationConfig& config) {
-  const FederationData data = build_federation_data(config);
-  std::vector<std::vector<core::LocalTrainer>> trainers(config.workers);
-  std::vector<std::unique_ptr<agg::Aggregator>> cluster_rules;
-  std::vector<std::vector<float>> current(config.workers, data.init_params);
-  for (std::size_t w = 0; w < config.workers; ++w) {
-    for (std::size_t k = 0; k < config.devices_per_worker; ++k) {
-      trainers[w].push_back(
-          make_device_trainer(config, data, w * config.devices_per_worker + k));
-    }
-    cluster_rules.push_back(agg::make_aggregator(config.cluster_rule));
-  }
-  auto root_rule = agg::make_aggregator(config.root_rule);
-  std::vector<float> global = data.init_params;
-  for (std::size_t r = 0; r < config.rounds; ++r) {
-    std::vector<agg::ModelVec> updates;
-    std::vector<std::vector<float>> last(config.workers);
-    for (std::size_t w = 0; w < config.workers; ++w) {
-      last[w] = cluster_round(config, trainers[w], *cluster_rules[w], current[w]);
-      updates.push_back(last[w]);
-    }
-    root_rule->set_reference(global);
-    global = root_rule->aggregate(updates);
-    for (std::size_t w = 0; w < config.workers; ++w) {
-      current[w] = merge_models(global, last[w], config.alpha);
-    }
-  }
-  return global;
+  FederationConfig flat = config;
+  flat.tree = std::to_string(config.workers) + "," +
+              std::to_string(config.devices_per_worker);
+  return hier::run_hier_reference(flat).global_model;
 }
 
 // Loopback with SIGKILL semantics: kill(id) silences a node — its queued

@@ -404,6 +404,20 @@ TEST(ThreadPool, StatsCountTasksAndTime) {
   EXPECT_GE(stats.wait_seconds, 0.0);
   EXPECT_GE(stats.busy_seconds, 0.0);
   EXPECT_EQ(ran.load(), 8);
+
+  // A caller that waited on every future reads exact totals: the counters
+  // must not trail the futures.  The window is a few instructions wide, so
+  // it takes many fresh pools to hit it.
+  std::size_t short_reads = 0;
+  for (int round = 0; round < 20000; ++round) {
+    ThreadPool small(2);
+    std::vector<std::future<void>> waits;
+    for (int i = 0; i < 8; ++i) waits.push_back(small.submit([] {}));
+    for (auto& f : waits) f.wait();
+    const auto s = small.stats();
+    if (s.submitted != 8u || s.completed != 8u) ++short_reads;
+  }
+  EXPECT_EQ(short_reads, 0u);
 }
 
 TEST(Log, LevelParsingAndNames) {
