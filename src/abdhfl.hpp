@@ -32,8 +32,6 @@
 // Consensus protocols.
 #include "consensus/committee.hpp"
 #include "consensus/consensus.hpp"
-#include "consensus/gossip.hpp"
-#include "consensus/multidim.hpp"
 #include "consensus/pbft.hpp"
 #include "consensus/voting.hpp"
 

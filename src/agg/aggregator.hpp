@@ -45,31 +45,6 @@ struct AggTelemetry {
   std::vector<InputVerdict> verdicts;
 };
 
-/// Incremental consumer for streaming-safe rules (DESIGN.md §11): inputs are
-/// fed as parameter chunks while their frames arrive, so the aggregating
-/// node holds O(d) accumulator state instead of n materialized input
-/// vectors.  Chunks of one input must be sequential and contiguous
-/// (offset 0 upward, no gaps); end_input() checks full coverage.  finish()
-/// produces the aggregate — bitwise-identical to handing the same inputs in
-/// the same order to the owning rule's aggregate() — and writes the owner's
-/// telemetry exactly like an aggregate() call would.  One-shot: an
-/// accumulator is dead after finish().
-class StreamAccumulator {
- public:
-  virtual ~StreamAccumulator() = default;
-
-  virtual void begin_input() = 0;
-  virtual void add_chunk(std::size_t offset, std::span<const float> values) = 0;
-  virtual void end_input() = 0;
-  [[nodiscard]] virtual ModelVec finish() = 0;
-
-  /// Inputs fully fed so far (end_input() calls).
-  [[nodiscard]] std::size_t inputs() const noexcept { return inputs_; }
-
- protected:
-  std::size_t inputs_ = 0;
-};
-
 class Aggregator {
  public:
   virtual ~Aggregator() = default;
@@ -77,17 +52,6 @@ class Aggregator {
   /// Aggregate the given model vectors (all the same dimension; at least
   /// one).  Throws std::invalid_argument on empty input or ragged dims.
   [[nodiscard]] virtual ModelVec aggregate(const std::vector<ModelVec>& updates) = 0;
-
-  /// Streaming factory.  Rules that can consume inputs incrementally return
-  /// an accumulator of dimension `dim` bound to this instance; rules that
-  /// need every vector materialized (Krum, median, geomed, ...) return
-  /// nullptr — the default — as do streaming-capable rules in a mode that
-  /// cannot stream (clustering under forensics).  The caller falls back to
-  /// materialize-first whenever this returns nullptr.
-  [[nodiscard]] virtual std::unique_ptr<StreamAccumulator> make_stream(std::size_t dim) {
-    (void)dim;
-    return nullptr;
-  }
 
   [[nodiscard]] virtual std::string name() const = 0;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace abdhfl::agg {
@@ -75,91 +74,6 @@ ModelVec ClusterAggregator::aggregate(const std::vector<ModelVec>& updates) {
     }
   }
   return tensor::mean_of(kept);
-}
-
-// Streaming clustering: place each input the moment it completes, against
-// the founders seen so far — exactly the greedy pass aggregate() runs, since
-// neither placement nor the winning-cluster mean ever looks at non-founder
-// members of other clusters.  Each cluster keeps its founder (for cosine)
-// and a running double sum (via kern::accumulate, the same kernel
-// tensor::mean_of applies to the kept inputs in arrival order), so finish()
-// is bitwise-identical to materialize-first aggregate().
-class ClusterAggregator::Stream final : public StreamAccumulator {
- public:
-  Stream(ClusterAggregator& owner, std::size_t dim)
-      : owner_(owner), dim_(dim), current_(dim, 0.0f) {}
-
-  void begin_input() override { cursor_ = 0; }
-
-  void add_chunk(std::size_t offset, std::span<const float> values) override {
-    if (offset != cursor_ || offset + values.size() > dim_) {
-      throw std::invalid_argument("cluster stream: non-contiguous or oversized chunk");
-    }
-    std::copy(values.begin(), values.end(), current_.begin() + static_cast<std::ptrdiff_t>(offset));
-    cursor_ += values.size();
-  }
-
-  void end_input() override {
-    if (cursor_ != dim_) {
-      throw std::invalid_argument("cluster stream: input not fully covered");
-    }
-    cursor_ = 0;
-    std::size_t label = clusters_.size();
-    for (std::size_t c = 0; c < clusters_.size(); ++c) {
-      if (cosine(current_, clusters_[c].founder) >= owner_.config_.similarity_threshold) {
-        label = c;
-        break;
-      }
-    }
-    if (label == clusters_.size()) {
-      clusters_.push_back({current_, std::vector<double>(dim_, 0.0), 0});
-    }
-    Cluster& cluster = clusters_[label];
-    tensor::kern::accumulate(current_.data(), cluster.sum.data(), dim_);
-    ++cluster.count;
-    labels_.push_back(label);
-    ++inputs_;
-  }
-
-  ModelVec finish() override {
-    if (inputs_ == 0) throw std::invalid_argument("cluster stream: no inputs");
-    // Largest cluster wins; ties break toward the lower label, matching
-    // aggregate()'s max_element over counts.
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < clusters_.size(); ++c) {
-      if (clusters_[c].count > clusters_[best].count) best = c;
-    }
-    const Cluster& winner = clusters_[best];
-    owner_.last_labels_ = std::move(labels_);
-    owner_.telemetry_.inputs = inputs_;
-    owner_.telemetry_.kept = winner.count;
-    owner_.telemetry_.score_mean = 0.0;
-    owner_.telemetry_.score_max = 0.0;
-    owner_.telemetry_.verdicts.clear();
-    ModelVec out(dim_);
-    const double inv = 1.0 / static_cast<double>(winner.count);
-    for (std::size_t i = 0; i < dim_; ++i) out[i] = static_cast<float>(winner.sum[i] * inv);
-    return out;
-  }
-
- private:
-  struct Cluster {
-    std::vector<float> founder;
-    std::vector<double> sum;
-    std::size_t count = 0;
-  };
-
-  ClusterAggregator& owner_;
-  std::size_t dim_;
-  std::size_t cursor_ = 0;
-  std::vector<float> current_;
-  std::vector<Cluster> clusters_;
-  std::vector<std::size_t> labels_;
-};
-
-std::unique_ptr<StreamAccumulator> ClusterAggregator::make_stream(std::size_t dim) {
-  if (forensics()) return nullptr;  // per-input scores need materialized inputs
-  return std::make_unique<Stream>(*this, dim);
 }
 
 }  // namespace abdhfl::agg

@@ -21,14 +21,6 @@ class ClusterAggregator final : public Aggregator {
   ModelVec aggregate(const std::vector<ModelVec>& updates) override;
   [[nodiscard]] std::string name() const override { return "clustering"; }
 
-  /// Streaming-safe because placement is greedy in arrival order against
-  /// cluster founders only: the accumulator keeps one founder copy plus one
-  /// double sum per cluster (O(c·d), c = clusters seen) instead of all n
-  /// inputs.  Returns nullptr under forensics — the per-input dissimilarity
-  /// scores need every input against the winning founder, which is only
-  /// known at finish().
-  [[nodiscard]] std::unique_ptr<StreamAccumulator> make_stream(std::size_t dim) override;
-
   /// Cluster label of every update in the last aggregate() call.
   [[nodiscard]] const std::vector<std::size_t>& last_labels() const noexcept {
     return last_labels_;
@@ -39,8 +31,6 @@ class ClusterAggregator final : public Aggregator {
   [[nodiscard]] static double cosine(std::span<const float> a, std::span<const float> b);
 
  private:
-  class Stream;
-
   ClusterAggConfig config_;
   std::vector<std::size_t> last_labels_;
 };

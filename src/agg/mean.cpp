@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace abdhfl::agg {
@@ -14,58 +13,6 @@ ModelVec MeanAggregator::aggregate(const std::vector<ModelVec>& updates) {
     telemetry_.verdicts.assign(n, {true, 1.0 / static_cast<double>(n), 0.0});
   }
   return tensor::mean_of(updates);
-}
-
-// Streaming mean: fold each input into a double accumulator as its chunks
-// arrive.  kern::accumulate is elementwise-exact under chunk splitting and
-// is the same kernel tensor::mean_of uses over whole vectors, and the
-// finalization reproduces mean_of's `acc[i] * (1/n)` expression verbatim —
-// both are required for the bitwise-identity guarantee.
-class MeanAggregator::Stream final : public StreamAccumulator {
- public:
-  Stream(MeanAggregator& owner, std::size_t dim)
-      : owner_(owner), dim_(dim), acc_(dim, 0.0) {}
-
-  void begin_input() override { cursor_ = 0; }
-
-  void add_chunk(std::size_t offset, std::span<const float> values) override {
-    if (offset != cursor_ || offset + values.size() > dim_) {
-      throw std::invalid_argument("mean stream: non-contiguous or oversized chunk");
-    }
-    tensor::kern::accumulate(values.data(), acc_.data() + offset, values.size());
-    cursor_ += values.size();
-  }
-
-  void end_input() override {
-    if (cursor_ != dim_) {
-      throw std::invalid_argument("mean stream: input not fully covered");
-    }
-    cursor_ = 0;
-    ++inputs_;
-  }
-
-  ModelVec finish() override {
-    if (inputs_ == 0) throw std::invalid_argument("mean stream: no inputs");
-    const std::size_t n = inputs_;
-    owner_.telemetry_ = {n, n, 0.0, 0.0, {}};
-    if (owner_.forensics()) {
-      owner_.telemetry_.verdicts.assign(n, {true, 1.0 / static_cast<double>(n), 0.0});
-    }
-    ModelVec out(dim_);
-    const double inv = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < dim_; ++i) out[i] = static_cast<float>(acc_[i] * inv);
-    return out;
-  }
-
- private:
-  MeanAggregator& owner_;
-  std::size_t dim_;
-  std::size_t cursor_ = 0;
-  std::vector<double> acc_;
-};
-
-std::unique_ptr<StreamAccumulator> MeanAggregator::make_stream(std::size_t dim) {
-  return std::make_unique<Stream>(*this, dim);
 }
 
 ModelVec weighted_mean(const std::vector<ModelVec>& updates,

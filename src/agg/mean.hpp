@@ -13,14 +13,6 @@ class MeanAggregator final : public Aggregator {
   ModelVec aggregate(const std::vector<ModelVec>& updates) override;
   [[nodiscard]] std::string name() const override { return "mean"; }
   [[nodiscard]] double tolerance_fraction(std::size_t) const override { return 0.0; }
-
-  /// Mean is always streaming-safe: one O(d) double accumulator, inputs
-  /// folded in arrival order via the same kern::accumulate/finalize chain as
-  /// tensor::mean_of, so finish() is bitwise-identical to aggregate().
-  [[nodiscard]] std::unique_ptr<StreamAccumulator> make_stream(std::size_t dim) override;
-
- private:
-  class Stream;
 };
 
 /// Dataset-size-weighted mean (true FedAvg); weights must be positive and

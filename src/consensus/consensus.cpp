@@ -3,8 +3,6 @@
 #include <stdexcept>
 
 #include "consensus/committee.hpp"
-#include "consensus/gossip.hpp"
-#include "consensus/multidim.hpp"
 #include "consensus/pbft.hpp"
 #include "consensus/voting.hpp"
 
@@ -14,14 +12,11 @@ std::unique_ptr<ConsensusProtocol> make_consensus(const std::string& name) {
   if (name == "voting") return std::make_unique<VotingConsensus>();
   if (name == "committee") return std::make_unique<CommitteeConsensus>();
   if (name == "pbft") return std::make_unique<PbftConsensus>();
-  if (name == "multidim") return std::make_unique<MultiDimConsensus>();
-  if (name == "gossip") return std::make_unique<GossipAverage>();
   throw std::invalid_argument("unknown consensus protocol: " + name);
 }
 
 const std::vector<std::string>& consensus_names() {
-  static const std::vector<std::string> names = {"voting", "committee", "pbft",
-                                                 "multidim", "gossip"};
+  static const std::vector<std::string> names = {"voting", "committee", "pbft"};
   return names;
 }
 

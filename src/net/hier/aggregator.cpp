@@ -267,7 +267,7 @@ void AggregatorNode::on_parent_message(WireMessage& msg) {
       }
     } else {
       uplink_.send_status_ping(round_);  // refresh RTT/offset on live traffic
-      arm_collect();
+      collector_.arm();
       phase_deadline_ = wall_now() + config_.round_timeout_s;
       if (host_ != nullptr) disseminate_to_devices();
     }
@@ -304,13 +304,15 @@ void AggregatorNode::on_child_message(WireMessage& msg) {
   if (msg.kind == MsgKind::kModelUpdate) {
     if (phase_ != Phase::kTraining) return;
     auto& update = std::get<ModelUpdate>(msg.payload);
-    if (collector_.accept_update(msg.env, update, round_)) maybe_forward_up();
+    if (collector_.accept_update(msg.env, update, round_, data_.init_params.size())) {
+      maybe_forward_up();
+    }
   }
 }
 
 void AggregatorNode::begin_round_down() {
   phase_ = Phase::kTraining;
-  arm_collect();
+  collector_.arm();
   phase_deadline_ = wall_now() + config_.round_timeout_s;
   bb::record(bb::EventType::kPhase, 1, id_, round_, collector_.live().size());
   bb::set_phase(1, round_, deadline_ns(phase_deadline_));
@@ -342,13 +344,6 @@ void AggregatorNode::shutdown_children() {
   std::get<Membership>(bye).event = Membership::Event::kShutdown;
   std::get<Membership>(bye).device = id_;
   collector_.fan_out(bye, round_);
-}
-
-void AggregatorNode::arm_collect() {
-  // Materialize-first on purpose: the cluster fold must be bitwise what
-  // cluster_round / the reference runner compute, i.e. aggregate() over the
-  // children's vectors in ascending id order.
-  collector_.arm(nullptr);
 }
 
 void AggregatorNode::maybe_forward_up() {

@@ -97,7 +97,6 @@ class AggregatorNode {
   void maybe_forward_up();
   void maybe_finish();
   void finish(bool failed);
-  void arm_collect();
   void note_parent_lost();
   void reply_status(const StatusRequest& request, NodeId to);
   void record_round(double inputs);

@@ -93,8 +93,6 @@ bool Collector::evict(NodeId peer, std::size_t round, double now) {
 void Collector::drop(NodeId child) {
   live_.erase(child);
   pending_.erase(child);
-  // The departure may have closed a reorder gap.
-  if (stream_ != nullptr) drain_into_stream();
 }
 
 bool Collector::readmit(NodeId peer, std::size_t round) {
@@ -118,60 +116,22 @@ bool Collector::expire_grace(double now) {
   return grace_until_.size() != before;
 }
 
-void Collector::arm(std::unique_ptr<agg::StreamAccumulator> stream) {
-  arrived_.clear();
-  pending_.clear();
-  stream_ = std::move(stream);
-}
+void Collector::arm() { pending_.clear(); }
 
 bool Collector::accept_update(const Envelope& env, ModelUpdate& update,
-                              std::size_t round) {
+                              std::size_t round, std::size_t param_count) {
   if (env.round != round) return false;  // stale retransmission
   if (live_.find(env.from) == live_.end()) return false;
+  // A wrong-length update would make the whole fold throw at finish().
+  if (update.params.size() != param_count) return false;
   if (has_update(env.from)) return false;  // duplicate: the first update wins
   suspicion_[env.from] *= 0.9;  // delivered on time: decay suspicion
   pending_[env.from] = std::move(update.params);
-  if (stream_ != nullptr) drain_into_stream();
-  return true;
-}
-
-bool Collector::accept_raw(const FrameView& view, std::size_t round,
-                           std::size_t param_count) {
-  if (stream_ == nullptr) return false;
-  if (view.kind() != MsgKind::kModelUpdate) return false;
-  const Envelope env = view.env();
-  if (env.to != opts_.self || env.round != round) return false;
-  if (live_.find(env.from) == live_.end()) return false;
-  if (has_update(env.from)) {
-    // Duplicate: decline so the decode path still applies the frame's delta
-    // rx-cache update before the owner ignores it.
-    return false;
-  }
-  // Zero-copy only for the next input in id order (see drain_into_stream);
-  // anything else falls back to decode-and-buffer so the fold order never
-  // depends on arrival order.
-  for (const NodeId child : live_) {
-    if (child == env.from) break;
-    if (arrived_.find(child) == arrived_.end()) return false;
-  }
-  const ModelUpdateHead head = peek_model_update(view);
-  if (head.param_count != param_count) return false;
-  CodecState* rx = transport_.codec_for(env.from).delta
-                       ? &transport_.rx_codec_state(env.from, opts_.self)
-                       : nullptr;
-  const std::span<const float> params = model_update_params(view, rx, stream_scratch_);
-  suspicion_[env.from] *= 0.9;  // delivered on time: decay suspicion
-  stream_->begin_input();
-  stream_->add_chunk(0, params);
-  stream_->end_input();
-  arrived_.insert(env.from);
-  drain_into_stream();
   return true;
 }
 
 bool Collector::has_update(NodeId child) const {
-  return pending_.find(child) != pending_.end() ||
-         arrived_.find(child) != arrived_.end();
+  return pending_.find(child) != pending_.end();
 }
 
 bool Collector::quorum_complete(double now) {
@@ -181,57 +141,12 @@ bool Collector::quorum_complete(double now) {
   // a mid-run restart bitwise identical to an uninterrupted run.
   expire_grace(now);
   if (!grace_until_.empty()) return false;
-  if (stream_ != nullptr) {
-    for (const NodeId child : live_) {
-      if (arrived_.find(child) == arrived_.end()) return false;
-    }
-    return true;
-  }
   return pending_.size() >= live_.size();
-}
-
-void Collector::drain_into_stream() {
-  // The stream folds inputs in ascending node id — the exact order the
-  // materialized path's std::map iteration produces — so an update may only
-  // be fed once every smaller live id has been.  Out-of-order arrivals wait
-  // in pending_, which therefore holds at most the reorder gap, not the
-  // whole quorum.
-  for (;;) {
-    NodeId next = 0;
-    bool expecting = false;
-    for (const NodeId child : live_) {
-      if (arrived_.find(child) == arrived_.end()) {
-        next = child;
-        expecting = true;
-        break;
-      }
-    }
-    if (!expecting) return;
-    const auto it = pending_.find(next);
-    if (it == pending_.end()) return;
-    stream_->begin_input();
-    stream_->add_chunk(0, it->second);
-    stream_->end_input();
-    arrived_.insert(next);
-    pending_.erase(it);
-  }
 }
 
 std::vector<float> Collector::finish(agg::Aggregator& rule,
                                      std::span<const float> reference,
                                      std::size_t& n_inputs) {
-  if (stream_ != nullptr) {
-    // Streaming fold complete: every live child's update has been folded in
-    // ascending id order, so finish() is bitwise what aggregate() over the
-    // materialized vectors would have produced.
-    n_inputs = stream_->inputs();
-    rule.set_reference(reference);
-    std::vector<float> out = stream_->finish();
-    stream_.reset();
-    arrived_.clear();
-    pending_.clear();
-    return out;
-  }
   // Deterministic input order: pending_ is keyed by node id, and std::map
   // iterates in ascending key order regardless of arrival order.  The
   // vectors are moved, not copied — pending_ is dead after this.

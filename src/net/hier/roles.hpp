@@ -6,8 +6,7 @@
 //
 //   Collector — the DOWN-facing role: child membership (join/leave/evict/
 //     re-admit), per-link codec negotiation, the suspicion ledger, the
-//     deterministic id-ordered update collection fold (streaming when the
-//     rule supports it, materialize-first otherwise), and the fan-out of a
+//     deterministic id-ordered update collection fold, and the fan-out of a
 //     payload to every live child.
 //   Uplink    — the UP-facing role: join/leave/update/ping senders toward a
 //     parent, join-echo processing (codec adoption, round adoption, RTT and
@@ -32,7 +31,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <span>
 #include <vector>
@@ -126,35 +124,25 @@ class Collector {
 
   // -- collection -----------------------------------------------------------
 
-  /// Start a round's collection empty.  `stream` may be null
-  /// (materialize-first) — which an owner must choose when a departure may
-  /// have to drop an update that already arrived: a stream cannot un-fold.
-  void arm(std::unique_ptr<agg::StreamAccumulator> stream);
+  /// Start a round's collection empty.
+  void arm();
 
-  /// Decoded-path acceptance: the guard chain (round match, live member, no
-  /// update yet this round — the first one wins), suspicion decay, buffer +
-  /// in-order drain.  Moves the update's params out on acceptance.  Returns
-  /// true when accepted (the owner then checks quorum_complete()).
-  bool accept_update(const Envelope& env, ModelUpdate& update, std::size_t round);
-
-  /// Zero-copy path: a complete ModelUpdate frame offered before decode.
-  /// Accepted only when this collector streams, the frame passes the same
-  /// guards, carries `param_count` parameters, and is the next input in
-  /// ascending id order — its chunk is fed straight from the rx ring into
-  /// the accumulator.  Returns false to fall back to the decode path (which
-  /// keeps delta rx caches in sync for frames this node ignores).
-  bool accept_raw(const FrameView& view, std::size_t round, std::size_t param_count);
+  /// The guard chain (round match, live member, `param_count` parameters,
+  /// no update yet this round — the first one wins), suspicion decay,
+  /// buffer.  Moves the update's params out on acceptance.  Returns true
+  /// when accepted (the owner then checks quorum_complete()); a rejected
+  /// update leaves the child undelivered, so the round deadline evicts it.
+  bool accept_update(const Envelope& env, ModelUpdate& update, std::size_t round,
+                     std::size_t param_count);
 
   [[nodiscard]] bool has_update(NodeId child) const;
-  /// Every live child's update folded/buffered, and no grace window holds
-  /// the round open (false while live is empty).
+  /// Every live child's update buffered, and no grace window holds the
+  /// round open (false while live is empty).
   [[nodiscard]] bool quorum_complete(double now);
 
-  /// Complete the round's fold: set the rule's reference and aggregate —
-  /// stream finish when streaming (bitwise what aggregate() over the
-  /// materialized vectors would produce; the id-ordered fold guarantees
-  /// it), materialized std::map-order aggregate otherwise.  `n_inputs`
-  /// reports how many updates went in.
+  /// Complete the round's fold: set the rule's reference and aggregate the
+  /// buffered updates in ascending child id.  `n_inputs` reports how many
+  /// updates went in.
   [[nodiscard]] std::vector<float> finish(agg::Aggregator& rule,
                                           std::span<const float> reference,
                                           std::size_t& n_inputs);
@@ -182,8 +170,6 @@ class Collector {
  private:
   /// Take a child out of the live set with its buffered update.
   void drop(NodeId child);
-  /// Feed buffered in-order updates into the stream.
-  void drain_into_stream();
 
   Transport& transport_;
   Options opts_;
@@ -195,14 +181,7 @@ class Collector {
   // update — the "is this member flaky" number a status probe reports.
   std::map<NodeId, double> suspicion_;
   std::map<NodeId, double> grace_until_;          // evicted, awaited back
-  std::map<NodeId, std::vector<float>> pending_;  // current round (materialized)
-  // Streaming collection (DESIGN.md §11): when the rule is streaming-safe,
-  // each round's updates are folded into `stream_` as their frames arrive
-  // and `arrived_` replaces pending_ as the quorum ledger — collector
-  // memory stays O(d) instead of O(live × d).
-  std::unique_ptr<agg::StreamAccumulator> stream_;
-  std::set<NodeId> arrived_;
-  std::vector<float> stream_scratch_;  // decode target for transformed frames
+  std::map<NodeId, std::vector<float>> pending_;  // current round's updates
 };
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@
 // from TCP only in where the bytes travel, so traffic accounting, codec
 // behaviour, and corruption detection are identical across backends (the
 // property the distributed runner's bitwise-equivalence check relies on).
-// Delivery funnels through the shared Transport::deliver_frame tail, so the
-// zero-copy raw-handler path (FrameView spans into the queued frame) and the
-// per-link delta bases behave exactly like the socket backend.
+// Delivery funnels through the shared Transport::deliver_frame tail, so
+// decoding and the per-link delta bases behave exactly like the socket
+// backend.
 //
 // Two delivery modes:
 //   * standalone — frames queue in FIFO order and are delivered on poll();

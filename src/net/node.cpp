@@ -519,8 +519,6 @@ RootNode::RootNode(FederationConfig config, Transport& transport,
       global_(data_.init_params) {
   if (checkpoint_ != nullptr && resume) restore_checkpoint();
   transport_.register_node(kRootId, [this](WireMessage& msg) { on_message(msg); });
-  transport_.set_raw_handler(kRootId,
-                             [this](const FrameView& view) { return on_raw_frame(view); });
   transport_.add_peer_loss_handler([this](NodeId peer) { on_peer_loss(peer); });
   transport_.add_peer_reconnect_handler(
       [this](NodeId peer) { on_peer_reconnect(peer); });
@@ -598,7 +596,9 @@ void RootNode::on_message(WireMessage& msg) {
     case MsgKind::kModelUpdate: {
       if (phase_ != Phase::kTraining) return;
       auto& update = std::get<ModelUpdate>(msg.payload);
-      if (collector_.accept_update(msg.env, update, round_)) maybe_aggregate();
+      if (collector_.accept_update(msg.env, update, round_, data_.init_params.size())) {
+        maybe_aggregate();
+      }
       return;
     }
     default:
@@ -609,7 +609,7 @@ void RootNode::on_message(WireMessage& msg) {
 void RootNode::begin_training() {
   result_.workers_joined = collector_.live().size();
   phase_ = Phase::kTraining;
-  collector_.arm(rule_->make_stream(data_.init_params.size()));
+  collector_.arm();
   phase_deadline_ = wall_now() + config_.round_timeout_s;
   bb::record(bb::EventType::kPhase, 1, kRootId, round_, collector_.live().size());
   bb::set_phase(1, round_, deadline_ns(phase_deadline_));
@@ -620,13 +620,6 @@ void RootNode::begin_training() {
   // is round_ (0 for a fresh run, the restored counter after a root resume)
   // and the workers adopt it, so the whole federation restarts on one clock.
   collector_.echo_joins(round_);
-}
-
-bool RootNode::on_raw_frame(const FrameView& view) {
-  if (phase_ != Phase::kTraining) return false;
-  if (!collector_.accept_raw(view, round_, data_.init_params.size())) return false;
-  maybe_aggregate();
-  return true;
 }
 
 void RootNode::maybe_aggregate() {
@@ -686,7 +679,7 @@ void RootNode::maybe_aggregate() {
     bb::set_phase(2, round_, deadline_ns(phase_deadline_));
     maybe_finish();
   } else {
-    collector_.arm(rule_->make_stream(data_.init_params.size()));
+    collector_.arm();
   }
 }
 

@@ -307,10 +307,6 @@ class RootNode {
   enum class Phase { kJoining, kTraining, kFinishing, kDone };
 
   void on_message(WireMessage& msg);
-  /// Zero-copy fast path: a complete ModelUpdate frame destined for us,
-  /// offered before decode; the collector feeds its parameter chunk straight
-  /// from the rx ring into the streaming accumulator when the guards pass.
-  bool on_raw_frame(const FrameView& view);
   void on_peer_loss(NodeId peer);
   void on_peer_reconnect(NodeId peer);
   void begin_training();

@@ -326,8 +326,9 @@ std::size_t TcpTransport::poll(double timeout_s) {
   // Partition the ready set to preserve the dispatch order the protocol
   // depends on: accept first, then pending conns (a reconnecting peer must
   // re-identify before its stale link is read), then peers in ascending
-  // node id — the same order the old peers_-map walk produced, which the
-  // collectors' id-ordered streaming fold observes within a tick.
+  // node id — the same order the old peers_-map walk produced, so one
+  // tick's frames reach the handlers in an order that does not depend on
+  // the order epoll reported readiness in.
   bool listen_ready = false;
   ready_pending_.clear();
   ready_peers_.clear();

@@ -201,7 +201,9 @@ void TopClusterNode::on_message(WireMessage& msg) {
   if (msg.kind == MsgKind::kModelUpdate) {
     if (!raft_.is_leader() || phase_ != Phase::kTraining) return;
     auto& update = std::get<ModelUpdate>(msg.payload);
-    if (collector_.accept_update(msg.env, update, round_)) maybe_aggregate();
+    if (collector_.accept_update(msg.env, update, round_, data_.init_params.size())) {
+      maybe_aggregate();
+    }
     return;
   }
 }
@@ -375,7 +377,7 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       bb::record(bb::EventType::kRound, 0, id_, round_ - 1, entry.samples);
       bb::note_progress(round_);
       if (raft_.is_leader()) {
-        collector_.arm(nullptr);  // the next round starts empty
+        collector_.arm();  // the next round starts empty
         broadcast_global(global_, entry.round);  // the log keeps its own copy
         round_deadline_ = now + config_.round_timeout_s;
       }
@@ -424,7 +426,7 @@ void TopClusterNode::start_or_resume_training() {
     result_.workers_joined = collector_.live().size();
     bb::record(bb::EventType::kPhase, 1, id_, round_, collector_.live().size());
   }
-  collector_.arm(nullptr);
+  collector_.arm();
   // Re-broadcast the last COMMITTED model first: a worker that missed the
   // dead leader's broadcast merges it and catches up to round_; a worker
   // already at round_ ignores the stale round.  Then the join echoes tell
@@ -477,8 +479,8 @@ void TopClusterNode::maybe_aggregate() {
   // must be settled before the quorum it defines can close.
   if (raft_.membership_in_flight()) return;
   if (!collector_.quorum_complete(wall_now())) return;
-  // The materialized fold consumes the updates in ascending node id —
-  // bitwise the reference loop's fold order.
+  // The fold consumes the updates in ascending node id — bitwise the
+  // reference loop's fold order.
   std::size_t n_inputs = 0;
   std::vector<float> out = collector_.finish(*rule_, global_, n_inputs);
   const std::uint64_t digest = nn::params_digest(out);

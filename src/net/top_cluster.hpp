@@ -30,11 +30,10 @@
 // the subtree samples and the negotiated per-link codec, and every member
 // applies them to its collector on commit — so EVERY member, not just
 // whoever handled the handshake, can adopt a worker the moment it becomes
-// leader.  The collector runs materialize-first: a committed eviction must
-// be able to drop an update that already arrived, and a streaming fold
-// cannot un-fold an input.  This replaces the classic root's ad-hoc rejoin
-// path: a worker rejoining under a new leader is echoed the committed
-// round, not a stale one.
+// leader.  A committed eviction drops the worker's update even when it has
+// already arrived.  This replaces the classic root's ad-hoc rejoin path: a
+// worker rejoining under a new leader is echoed the committed round, not a
+// stale one.
 
 #include <cstdint>
 #include <map>

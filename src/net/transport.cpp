@@ -188,9 +188,9 @@ void Transport::deliver_frame(const FrameView& view, std::uint32_t link_class,
                         static_cast<std::uint16_t>(view.kind()), env.to, env.round,
                         env.from, wire_bytes);
 
-  // The whole dispatch — streaming decode or decode+handler — runs inside a
-  // net_recv span.  When the frame carries a trace tail, the span parents to
-  // the remote sender's net_send span: the causal cross-process edge every
+  // The whole dispatch — decode + handler — runs inside a net_recv span.
+  // When the frame carries a trace tail, the span parents to the remote
+  // sender's net_send span: the causal cross-process edge every
   // handler-opened span then nests under via the thread-local stack.
   std::optional<obs::Span> recv_span;
   if (trace_ != nullptr) {
@@ -203,18 +203,6 @@ void Transport::deliver_frame(const FrameView& view, std::uint32_t link_class,
     }
     recv_span.emplace(trace_, "net_recv", ctx, static_cast<std::size_t>(env.round),
                       env.to);
-  }
-
-  const auto raw_it = raw_handlers_.find(env.to);
-  if (raw_it != raw_handlers_.end() && raw_it->second(view)) {
-    // Consumed zero-copy.  The raw path only ever takes ModelUpdate frames,
-    // whose dense-equivalent size follows from the parameter count alone.
-    std::size_t raw_bytes = wire_bytes;
-    if (view.kind() == MsgKind::kModelUpdate) {
-      raw_bytes = model_update_wire_size(peek_model_update(view).param_count);
-    }
-    note_received(wire_bytes, raw_bytes, link_class, env.from);
-    return;
   }
 
   CodecState* rx = nullptr;

@@ -18,10 +18,8 @@
 // protocol logic.
 //
 // Receive path: both backends funnel every validated frame through
-// deliver_frame(), which offers the FrameView to the destination node's raw
-// handler first (the zero-copy streaming path — a span into the backend's rx
-// buffer, alive only for the duration of the call) and falls back to a full
-// decode into an owned WireMessage.  The decoded message is passed by
+// deliver_frame(), which decodes the FrameView (a span into the backend's rx
+// buffer) into an owned WireMessage.  The decoded message is passed by
 // mutable reference so a terminal consumer can move the parameter vector out
 // instead of copying it.
 //
@@ -120,13 +118,6 @@ class Transport {
   /// Owned-message handler.  The message is mutable so a terminal consumer
   /// can std::move the parameter vector out instead of copying O(d) floats.
   using MessageHandler = std::function<void(WireMessage&)>;
-  /// Zero-copy handler, offered every frame before it is decoded.  Return
-  /// true to consume the frame (no WireMessage is materialized); the view
-  /// and any span derived from it die when the handler returns.  A consumer
-  /// on a delta link MUST still apply the frame's rx-cache update
-  /// (model_update_params does) even for frames it then ignores, or the
-  /// link's bases desynchronize.
-  using RawHandler = std::function<bool(const FrameView&)>;
   using PeerLossHandler = std::function<void(NodeId peer)>;
   using PeerReconnectHandler = std::function<void(NodeId peer)>;
 
@@ -135,17 +126,6 @@ class Transport {
   /// Attach the handler for a local node id.  Loopback hosts any number of
   /// local nodes; TCP hosts exactly the id it was constructed with.
   virtual void register_node(NodeId id, MessageHandler handler) = 0;
-
-  /// Attach (or clear, with an empty function) the zero-copy pre-decode
-  /// handler for a local node id.  Optional: nodes that never stream simply
-  /// don't set one.
-  void set_raw_handler(NodeId id, RawHandler handler) {
-    if (handler) {
-      raw_handlers_[id] = std::move(handler);
-    } else {
-      raw_handlers_.erase(id);
-    }
-  }
 
   /// Encode and send one message.  `link_class` buckets the traffic
   /// accounting (the federation uses the tree level of the link).
@@ -198,17 +178,6 @@ class Transport {
   void set_peer_codec(NodeId peer, Codec codec) { peer_codec_[peer] = codec; }
   [[nodiscard]] Codec codec_for(NodeId peer) const;
 
-  /// Delta-codec base models for the directed link from -> to.  tx is what
-  /// the local sender encodes against; rx is what frames arriving on that
-  /// direction decode against.  Exposed so streaming consumers (a raw
-  /// handler calling model_update_params) can apply the rx-cache contract
-  /// themselves.
-  [[nodiscard]] CodecState& tx_codec_state(NodeId from, NodeId to) {
-    return tx_state_[{from, to}];
-  }
-  [[nodiscard]] CodecState& rx_codec_state(NodeId from, NodeId to) {
-    return rx_state_[{from, to}];
-  }
   /// Forget every delta base on links touching `peer` (both directions, both
   /// roles).  Called by the backends on any link reset.
   void reset_codec_state(NodeId peer);
@@ -266,12 +235,22 @@ class Transport {
   explicit Transport(std::string name);
 
   /// The shared receive tail both backends funnel validated frames through:
-  /// account + trace the frame, offer it to the destination's raw handler,
-  /// else decode (against the link's rx delta base when `from` negotiated
-  /// delta) and invoke `handler`.  Body-level corruption throws WireError to
-  /// the backend, which owns the drop-the-link policy.
+  /// account + trace the frame, decode it (against the link's rx delta base
+  /// when `from` negotiated delta) and invoke `handler`.  Body-level
+  /// corruption throws WireError to the backend, which owns the
+  /// drop-the-link policy.
   void deliver_frame(const FrameView& view, std::uint32_t link_class,
                      const MessageHandler& handler);
+
+  /// Delta-codec base models for the directed link from -> to.  tx is what
+  /// the local sender encodes against; rx is what frames arriving on that
+  /// direction decode against.
+  [[nodiscard]] CodecState& tx_codec_state(NodeId from, NodeId to) {
+    return tx_state_[{from, to}];
+  }
+  [[nodiscard]] CodecState& rx_codec_state(NodeId from, NodeId to) {
+    return rx_state_[{from, to}];
+  }
 
   // Stats + obs plumbing shared by the backends.  All of these also bump the
   // registry counters while obs::enabled().  `raw_bytes` is the
@@ -310,7 +289,6 @@ class Transport {
   TransportStats stats_;
   std::map<std::uint32_t, TransportStats> per_class_;
   std::map<NodeId, Codec> peer_codec_;
-  std::map<NodeId, RawHandler> raw_handlers_;
   std::map<std::pair<NodeId, NodeId>, CodecState> tx_state_;
   std::map<std::pair<NodeId, NodeId>, CodecState> rx_state_;
   std::vector<PeerLossHandler> on_peer_loss_;

@@ -405,8 +405,8 @@ struct ModelUpdateHead {
 /// is malformed.
 [[nodiscard]] ModelUpdateHead peek_model_update(const FrameView& view);
 
-/// The reconstructed dense parameters of a ModelUpdate frame, for streaming
-/// consumers (decode-into-aggregation).  Raw dense frames whose float bytes
+/// The reconstructed dense parameters of a ModelUpdate frame, read without
+/// decoding a WireMessage.  Raw dense frames whose float bytes
 /// are suitably aligned return a span INTO THE FRAME — zero copy, zero
 /// allocation; every other path (quantized / top-k / delta / unaligned)
 /// reconstructs into `scratch` and returns a span over it.  `rx_state`

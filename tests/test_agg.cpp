@@ -3,10 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <span>
 
 #include "agg/aggregator.hpp"
 #include "agg/clipping.hpp"
@@ -227,98 +224,6 @@ TEST(Factory, ToleranceFractions) {
   EXPECT_DOUBLE_EQ(make_aggregator("mean")->tolerance_fraction(10), 0.0);
   EXPECT_DOUBLE_EQ(make_aggregator("krum", 0.25)->tolerance_fraction(10), 0.25);
   EXPECT_DOUBLE_EQ(make_aggregator("median")->tolerance_fraction(10), 0.5);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming accumulators (DESIGN.md §11): feeding the same inputs in the
-// same order as chunks must be bitwise-identical to materialize-first
-// aggregate().
-
-// Feed one vector through begin/add/end in uneven chunk sizes to exercise
-// the contiguity bookkeeping, not just the single-chunk fast path.
-void feed_chunked(StreamAccumulator& stream, const ModelVec& input) {
-  stream.begin_input();
-  std::size_t offset = 0;
-  std::size_t chunk = 1;
-  while (offset < input.size()) {
-    const std::size_t n = std::min(chunk, input.size() - offset);
-    stream.add_chunk(offset, std::span<const float>(input).subspan(offset, n));
-    offset += n;
-    chunk = chunk * 3 + 1;  // 1, 4, 13, 40, ... uneven on purpose
-  }
-  stream.end_input();
-}
-
-TEST(Streaming, MeanBitwiseMatchesAggregate) {
-  util::Rng rng(7);
-  const auto inputs = honest_cloud(5, 37, rng);
-  const auto rule = make_aggregator("mean");
-  auto stream = rule->make_stream(37);
-  ASSERT_NE(stream, nullptr);
-  for (const auto& input : inputs) feed_chunked(*stream, input);
-  EXPECT_EQ(stream->inputs(), 5u);
-  const auto streamed = stream->finish();
-  const auto materialized = rule->aggregate(inputs);
-  ASSERT_EQ(streamed.size(), materialized.size());
-  EXPECT_EQ(std::memcmp(streamed.data(), materialized.data(),
-                        streamed.size() * sizeof(float)),
-            0);
-}
-
-TEST(Streaming, ClusteringBitwiseMatchesAggregate) {
-  util::Rng rng(11);
-  auto inputs = honest_cloud(6, 23, rng);
-  // A hostile minority pointing the other way: forms its own cluster, so the
-  // winner selection and the winner-only mean both get exercised.
-  for (std::size_t i = 4; i < 6; ++i) {
-    for (auto& v : inputs[i]) v = -v;
-  }
-  const auto rule = make_aggregator("clustering");
-  auto stream = rule->make_stream(23);
-  ASSERT_NE(stream, nullptr);
-  for (const auto& input : inputs) feed_chunked(*stream, input);
-  const auto streamed = stream->finish();
-  const auto streamed_telemetry = rule->last_telemetry();
-  const auto materialized = rule->aggregate(inputs);
-  ASSERT_EQ(streamed.size(), materialized.size());
-  EXPECT_EQ(std::memcmp(streamed.data(), materialized.data(),
-                        streamed.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(streamed_telemetry.inputs, rule->last_telemetry().inputs);
-  EXPECT_EQ(streamed_telemetry.kept, rule->last_telemetry().kept);
-}
-
-TEST(Streaming, MaterializeOnlyRulesDecline) {
-  for (const char* name : {"krum", "median", "geomed", "trimmed_mean"}) {
-    EXPECT_EQ(make_aggregator(name)->make_stream(8), nullptr) << name;
-  }
-  // Clustering can stream — but not under forensics, which needs every input
-  // against the winning founder.
-  const auto clustering = make_aggregator("clustering");
-  clustering->set_forensics(true);
-  EXPECT_EQ(clustering->make_stream(8), nullptr);
-  clustering->set_forensics(false);
-  EXPECT_NE(clustering->make_stream(8), nullptr);
-}
-
-TEST(Streaming, EnforcesChunkContract) {
-  const auto rule = make_aggregator("mean");
-  auto stream = rule->make_stream(8);
-  ASSERT_NE(stream, nullptr);
-  const ModelVec v(8, 1.0f);
-  stream->begin_input();
-  stream->add_chunk(0, std::span<const float>(v).first(4));
-  // Gap, overlap, and overflow all violate the sequential-contiguous rule.
-  EXPECT_THROW(stream->add_chunk(5, std::span<const float>(v).first(1)),
-               std::invalid_argument);
-  EXPECT_THROW(stream->add_chunk(3, std::span<const float>(v).first(1)),
-               std::invalid_argument);
-  EXPECT_THROW(stream->add_chunk(4, std::span<const float>(v).first(8)),
-               std::invalid_argument);
-  // Short coverage is rejected at end_input, and an empty fold cannot finish.
-  EXPECT_THROW(stream->end_input(), std::invalid_argument);
-  auto empty = rule->make_stream(8);
-  EXPECT_THROW((void)empty->finish(), std::invalid_argument);
 }
 
 }  // namespace

@@ -111,44 +111,74 @@ void join(Collector& collector, net::NodeId child) {
   collector.on_join(child, member, 0);
 }
 
-/// Offer `params` from `child` for round 0 on the decoded path.
+/// The model dimension every collector test federates.
+constexpr std::size_t kDim = 2;
+
+/// Offer `params` from `child` for round 0 of a kDim-parameter model.
 bool offer(Collector& collector, net::NodeId child, std::vector<float> params) {
   net::ModelUpdate update;
   update.sender = child;
   update.level = 1;
   update.samples = 1;
   update.params = std::move(params);
-  return collector.accept_update({child, net::kRootId, 0}, update, 0);
+  return collector.accept_update({child, net::kRootId, 0}, update, 0, kDim);
 }
 
 std::vector<float> finish_mean(Collector& collector, agg::Aggregator& rule,
                                std::size_t& n_inputs) {
-  const std::vector<float> reference(2, 0.0f);
+  const std::vector<float> reference(kDim, 0.0f);
   return collector.finish(rule, reference, n_inputs);
 }
 
-TEST(HierCollector, FirstUpdateWinsMaterializedAndStreaming) {
-  for (const bool streaming : {false, true}) {
-    SCOPED_TRACE(streaming ? "streaming" : "materialized");
+TEST(HierCollector, FirstUpdateWins) {
+  net::LoopbackTransport transport;
+  Collector collector(transport, collector_opts());
+  join(collector, 1);
+  join(collector, 2);
+  const auto rule = agg::make_aggregator("mean");
+  collector.arm();
+
+  EXPECT_TRUE(offer(collector, 2, {4.0f, 4.0f}));
+  EXPECT_FALSE(offer(collector, 2, {100.0f, 100.0f}));
+  EXPECT_TRUE(offer(collector, 1, {2.0f, 2.0f}));
+  EXPECT_FALSE(offer(collector, 1, {100.0f, 100.0f}));
+  ASSERT_TRUE(collector.quorum_complete(0.0));
+
+  std::size_t n_inputs = 0;
+  const std::vector<float> out = finish_mean(collector, *rule, n_inputs);
+  EXPECT_EQ(n_inputs, 2u);
+  EXPECT_EQ(out, (std::vector<float>{3.0f, 3.0f}));
+}
+
+TEST(HierCollector, WrongDimensionUpdateIsNotDelivered) {
+  // A well-framed update of the wrong length must not reach the fold, where
+  // it would throw out of the owner's poll() and stop the collector: it is
+  // refused, the child counts as not delivered, and the round deadline
+  // evicts it so the honest quorum completes.
+  for (const char* name : {"median", "trimmed_mean", "mean"}) {
+    SCOPED_TRACE(name);
     net::LoopbackTransport transport;
     Collector collector(transport, collector_opts());
-    join(collector, 1);
-    join(collector, 2);
-    const auto rule = agg::make_aggregator("mean");
-    collector.arm(streaming ? rule->make_stream(2) : nullptr);
+    for (net::NodeId child = 1; child <= 4; ++child) join(collector, child);
+    const auto rule = agg::make_aggregator(name);
+    collector.arm();
 
-    // Child 2 first, so the streaming path buffers it behind child 1's gap
-    // and the duplicate meets a buffered update, not a folded one.
-    EXPECT_TRUE(offer(collector, 2, {4.0f, 4.0f}));
-    EXPECT_FALSE(offer(collector, 2, {100.0f, 100.0f}));
-    EXPECT_TRUE(offer(collector, 1, {2.0f, 2.0f}));
-    EXPECT_FALSE(offer(collector, 1, {100.0f, 100.0f}));  // folded duplicate
+    EXPECT_FALSE(offer(collector, 1, {9.0f, 9.0f, 9.0f}));  // d + 1
+    EXPECT_TRUE(offer(collector, 2, {2.0f, 2.0f}));
+    EXPECT_FALSE(offer(collector, 3, {9.0f}));  // d - 1
+    EXPECT_TRUE(offer(collector, 4, {4.0f, 4.0f}));
+    EXPECT_FALSE(collector.has_update(1));
+    EXPECT_FALSE(collector.has_update(3));
+
+    // The owners' round deadline: every live child without an update is lost.
+    for (const net::NodeId child : std::set<net::NodeId>(collector.live())) {
+      if (!collector.has_update(child)) collector.evict(child, 0, 0.0);
+    }
+    EXPECT_EQ(collector.live(), (std::set<net::NodeId>{2, 4}));
     ASSERT_TRUE(collector.quorum_complete(0.0));
-
     std::size_t n_inputs = 0;
-    const std::vector<float> out = finish_mean(collector, *rule, n_inputs);
+    EXPECT_EQ(finish_mean(collector, *rule, n_inputs), (std::vector<float>{3.0f, 3.0f}));
     EXPECT_EQ(n_inputs, 2u);
-    EXPECT_EQ(out, (std::vector<float>{3.0f, 3.0f}));
   }
 }
 
@@ -157,7 +187,7 @@ TEST(HierCollector, LeaveDropsMemberAndItsBufferedUpdate) {
   Collector collector(transport, collector_opts());
   for (net::NodeId child = 1; child <= 3; ++child) join(collector, child);
   const auto rule = agg::make_aggregator("mean");
-  collector.arm(nullptr);
+  collector.arm();
   EXPECT_TRUE(offer(collector, 1, {2.0f, 2.0f}));
   EXPECT_TRUE(offer(collector, 2, {100.0f, 100.0f}));
 
@@ -175,6 +205,20 @@ TEST(HierCollector, LeaveDropsMemberAndItsBufferedUpdate) {
   std::size_t n_inputs = 0;
   EXPECT_EQ(finish_mean(collector, *rule, n_inputs), (std::vector<float>{3.0f, 3.0f}));
   EXPECT_EQ(n_inputs, 2u);
+
+  // An eviction after delivery drops the update too, whatever the rule.
+  Collector evicting(transport, collector_opts());
+  for (net::NodeId child = 1; child <= 3; ++child) join(evicting, child);
+  evicting.arm();
+  EXPECT_TRUE(offer(evicting, 1, {2.0f, 2.0f}));
+  EXPECT_TRUE(offer(evicting, 2, {100.0f, 100.0f}));
+  ASSERT_TRUE(evicting.evict(2, 0, 0.0));
+  EXPECT_FALSE(evicting.has_update(2));
+  EXPECT_FALSE(evicting.quorum_complete(0.0));
+  EXPECT_TRUE(offer(evicting, 3, {4.0f, 4.0f}));
+  ASSERT_TRUE(evicting.quorum_complete(0.0));
+  EXPECT_EQ(finish_mean(evicting, *rule, n_inputs), (std::vector<float>{3.0f, 3.0f}));
+  EXPECT_EQ(n_inputs, 2u);
 }
 
 TEST(HierCollector, JoinAfterLeaveReadmits) {
@@ -188,7 +232,7 @@ TEST(HierCollector, JoinAfterLeaveReadmits) {
   join(collector, 2);
   EXPECT_EQ(collector.live(), (std::set<net::NodeId>{1, 2}));
   EXPECT_TRUE(collector.left().empty());
-  collector.arm(nullptr);
+  collector.arm();
   EXPECT_TRUE(offer(collector, 2, {1.0f, 1.0f}));
   // Live again, so losing its link is churn again.
   EXPECT_TRUE(collector.evict(2, 0, 0.0));
@@ -200,12 +244,12 @@ TEST(HierCollector, ArmStartsAnEmptyRound) {
   Collector collector(transport, collector_opts());
   join(collector, 1);
   join(collector, 2);
-  collector.arm(nullptr);
+  collector.arm();
   EXPECT_TRUE(offer(collector, 1, {1.0f, 1.0f}));
   EXPECT_TRUE(offer(collector, 2, {1.0f, 1.0f}));
   ASSERT_TRUE(collector.quorum_complete(0.0));
 
-  collector.arm(nullptr);
+  collector.arm();
   EXPECT_FALSE(collector.has_update(1));
   EXPECT_FALSE(collector.has_update(2));
   EXPECT_FALSE(collector.quorum_complete(0.0));

@@ -1126,10 +1126,9 @@ TEST(Tcp, ReconnectInvalidatesDeltaCache) {
   revived.close();
 }
 
-TEST(Node, StreamingRootRuleMatchesTransportFreeReference) {
-  // root_rule=mean streams (MeanAggregator::make_stream != nullptr), so this
-  // loopback federation exercises the raw-handler fast path end to end; the
-  // result must still be bitwise the transport-free reference loop.
+TEST(Node, MeanRootRuleMatchesTransportFreeReference) {
+  // A mean root (the pinned drills run median) over a loopback federation:
+  // the result must be bitwise the transport-free reference loop.
   FederationConfig config;
   config.workers = 3;
   config.devices_per_worker = 1;
@@ -1142,7 +1141,7 @@ TEST(Node, StreamingRootRuleMatchesTransportFreeReference) {
   config.cluster_rule = "mean";
   config.root_rule = "mean";
 
-  // Transport-free reference (materialize-first, inputs in worker-id order):
+  // Transport-free reference (inputs in worker-id order):
   // the hier runner on the flat "W,D" spec of the same federation.
   FederationConfig flat = config;
   flat.tree = std::to_string(config.workers) + "," +
@@ -1162,10 +1161,10 @@ TEST(Node, StreamingRootRuleMatchesTransportFreeReference) {
     return root.done();
   }, 60.0));
 
-  const auto& streamed = root.result().global_model;
-  ASSERT_EQ(streamed.size(), global.size());
-  EXPECT_EQ(std::memcmp(streamed.data(), global.data(), global.size() * sizeof(float)),
-            0);
+  const auto& distributed = root.result().global_model;
+  ASSERT_EQ(distributed.size(), global.size());
+  EXPECT_EQ(
+      std::memcmp(distributed.data(), global.data(), global.size() * sizeof(float)), 0);
   EXPECT_EQ(root.result().rounds_run, config.rounds);
 }
 

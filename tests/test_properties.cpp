@@ -217,9 +217,6 @@ INSTANTIATE_TEST_SUITE_P(
 class ConsensusProperty : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ConsensusProperty, HonestUnanimityKeepsGoodModel) {
-  if (GetParam() == "gossip") {
-    GTEST_SKIP() << "gossip averaging filters nothing by design (negative control)";
-  }
   util::Rng rng(6);
   auto protocol = consensus::make_consensus(GetParam());
   std::vector<ModelVec> candidates(4, ModelVec{1.0f});
