@@ -32,7 +32,9 @@
 // from one RootNode plus an AggregatorNode per interior/leaf process, all on
 // one loopback transport with the leaf heads multiplexing their virtual
 // devices — and the global model, every leaf head's model and every
-// per-round accuracy must come out bitwise identical.
+// per-round accuracy must come out bitwise identical.  With a lossy
+// --compress spec the tree must instead complete every round with no
+// failed aggregator, as the flat mode's lossy runs must.
 //
 //   ./distributed_federation [--rounds 3] [--workers 3] [--kill-worker]
 //                            [--crash-worker-hard] [--blackbox-dir crash]
@@ -306,6 +308,17 @@ int run_tree_mode(const net::FederationConfig& config, obs::Recorder* rec) {
   std::printf("loopback  (1 process):       accuracy %.4f\n", result.final_accuracy);
   bool ok = finished && result.rounds_run == config.rounds;
   for (auto& agg : aggs) ok = ok && !agg->failed();
+  // The flat mode's rule: a dense uncompressed codec must be bitwise the
+  // reference; top-k, delta and quantization transform the values on the
+  // wire, so there every round completing with no failed aggregator is the
+  // invariant.
+  const bool lossless = config.topk == 0 && !config.delta && config.quantize_bits == 0;
+  if (!lossless) {
+    std::printf("tree vs reference:           %+.4f accuracy (lossy codec)%s\n",
+                result.final_accuracy - reference.final_accuracy,
+                ok ? "" : "  FAILED to complete");
+    return ok ? 0 : 1;
+  }
   const bool global_bitwise =
       result.global_model.size() == reference.global_model.size() &&
       std::memcmp(result.global_model.data(), reference.global_model.data(),

@@ -23,8 +23,9 @@
 // the paper's leader-rotating top cluster is a small fixed committee.  What
 // churns is the *worker* membership below it, and that churn is exactly
 // what the kMemberJoin/kMemberLeave/kMemberEvict log entries carry: every
-// top node applies the same committed view in the same order, which is what
-// replaces RootNode's ad-hoc rejoin path with an agreed one.
+// top node applies the same committed view in the same order, re-admissions
+// included, so even a committee of one (the classic root) changes its view
+// only through the log.
 
 #include <cstdint>
 #include <deque>

@@ -26,13 +26,14 @@ Collector::Collector(Transport& transport, Options opts)
 bool Collector::on_join(NodeId from, const Membership& member, std::size_t round) {
   live_.insert(from);
   left_.erase(from);
+  grace_until_.erase(from);  // back: the round no longer waits for it
   bb::record(bb::EventType::kChurn, static_cast<std::uint16_t>(bb::ChurnKind::kJoin),
              opts_.self, round, from);
   bb::set_peer(from, 0, round);
   subtree_samples_[from] = member.subtree_samples;
   join_wall_ns_[from] = member.wall_ns;
   transport_.set_peer_tracing(from, member.trace && opts_.trace);
-  transport_.set_peer_codec(from, negotiate(member.codec));
+  transport_.set_peer_codec(opts_.self, from, negotiate(member.codec));
   return live_.size() >= opts_.expected_children;
 }
 
@@ -53,7 +54,7 @@ void Collector::echo_join(NodeId child, std::size_t round) {
   echo.event = Membership::Event::kJoin;
   echo.device = opts_.self;
   echo.cluster = child - opts_.first_child;
-  echo.codec = transport_.codec_for(child);
+  echo.codec = transport_.codec_for(opts_.self, child);
   echo.trace = opts_.trace;
   echo.wall_ns = obs::wall_clock_ns();
   echo.echo_wall_ns = join_wall_ns_[child];  // the child's join send stamp
@@ -226,7 +227,7 @@ Uplink::EchoAction Uplink::on_join_echo(const WireMessage& msg, std::size_t roun
                            last_update_round_ == round &&
                            last_update_to_ != msg.env.from;
   opts_.parent = msg.env.from;  // the echo sender IS the coordinator now
-  transport_.set_peer_codec(opts_.parent, member.codec);
+  transport_.set_peer_codec(opts_.self, opts_.parent, member.codec);
   transport_.set_peer_tracing(opts_.parent, member.trace && opts_.trace);
   if (member.echo_wall_ns != 0) {
     // Coarse first estimate from the join echo (inflated by the parent's

@@ -1,8 +1,7 @@
 #pragma once
 // Reusable federation roles (DESIGN.md §14).
 //
-// The 2-level RootNode/WorkerNode pair hard-wired two behaviours that every
-// node of an N-level tree needs in some combination:
+// Every node of an N-level tree needs two behaviours in some combination:
 //
 //   Collector — the DOWN-facing role: child membership (join/leave/evict/
 //     re-admit), per-link codec negotiation, the suspicion ledger, the
@@ -12,9 +11,9 @@
 //     parent, join-echo processing (codec adoption, round adoption, RTT and
 //     clock-offset estimation), and the borrow-don't-copy update send.
 //
-// RootNode is Collector + evaluation, WorkerNode is Uplink + training, an
-// AggregatorNode at any interior level is both at once, and a TopClusterNode
-// is a Collector plus the rotation log.  The roles carry protocol mechanics
+// The root (a TopClusterNode committee) is a Collector plus the rotation
+// log, WorkerNode is Uplink + training, and an AggregatorNode at any
+// interior level is both at once.  The roles carry protocol mechanics
 // only; phase machines, JSONL records, results and checkpoints stay with
 // the owning node.  Live and left are disjoint, the first update per child
 // per round wins, and arm() starts every round empty.
@@ -23,9 +22,9 @@
 // configured, a lost child that had joined is remembered for that window
 // and the collector HOLDS the round's aggregation while any window is
 // open.  If the child's process comes back (mid-tier kill + --resume), the
-// transport reconnect path re-admits it and the round completes with the
-// full quorum — which is what makes the final model bitwise identical to
-// an uninterrupted run.  An expired window releases the hold and the round
+// transport reconnect path re-admits it (a join releases its hold) and the
+// round completes with the full quorum — which is what makes the final
+// model bitwise identical to an uninterrupted run.  An expired window releases the hold and the round
 // proceeds degraded, exactly the grace=0 behaviour.
 
 #include <chrono>
@@ -83,8 +82,9 @@ class Collector {
 
   // -- membership -----------------------------------------------------------
 
-  /// Admit a joining child: live set (clearing an earlier leave), subtree
-  /// samples, join timestamp, codec negotiation, tracing capability.
+  /// Admit a joining child: live set (clearing an earlier leave and any
+  /// grace hold), subtree samples, join timestamp, codec negotiation,
+  /// tracing capability.
   /// Returns true once every expected child has joined.
   bool on_join(NodeId from, const Membership& member, std::size_t round);
 

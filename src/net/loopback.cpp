@@ -34,7 +34,7 @@ SendStatus LoopbackTransport::send(const Envelope& env, const Payload& payload,
   if (handlers_.find(env.to) == handlers_.end()) return SendStatus::kNoRoute;
   obs::Span span(trace(), "net_send", static_cast<std::size_t>(env.round), env.to);
 
-  const Codec codec = codec_for(env.to);
+  const Codec codec = codec_for(env.from, env.to);
   CodecState* tx = codec.delta ? &tx_codec_state(env.from, env.to) : nullptr;
   TraceContext trace_ctx;
   if (tracing_to(env.to)) {

@@ -1,9 +1,7 @@
 #include "net/node.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "ckpt/state.hpp"
@@ -22,34 +20,9 @@ namespace abdhfl::net {
 
 namespace bb = obs::blackbox;
 
-using hier::deadline_ns;
-using hier::EchoEstimate;
-using hier::estimate_from_echo;
 using hier::wall_now;
 
 namespace {
-
-/// The collector options a RootNode derives from its config: with a tree
-/// spec the expected children are the branching[0] level-1 aggregators,
-/// otherwise the classic W workers.
-hier::Collector::Options root_collector_opts(const FederationConfig& config) {
-  hier::Collector::Options opts;
-  opts.self = kRootId;
-  opts.expected_children = config.workers;
-  if (!config.tree.empty()) {
-    topology::HierSpec spec;
-    if (!topology::parse_tree_spec(config.tree, spec)) {
-      throw std::invalid_argument("invalid tree spec: " + config.tree);
-    }
-    opts.expected_children = spec.branching.front();
-  }
-  opts.first_child = 1;
-  opts.link_class = kLeaderLinkClass;
-  opts.codec = codec_from_config(config);
-  opts.trace = config.trace;
-  opts.rejoin_grace_s = config.rejoin_grace_s;
-  return opts;
-}
 
 hier::Uplink::Options worker_uplink_opts(const FederationConfig& config, NodeId id,
                                          std::size_t index) {
@@ -499,346 +472,6 @@ void WorkerNode::restore_checkpoint() {
   if (recorder_ != nullptr) {
     obs::RoundRecord& rec = recorder_->begin_round("dist_resume", round_);
     rec.set("worker", static_cast<double>(index_));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// RootNode
-
-RootNode::RootNode(FederationConfig config, Transport& transport,
-                   obs::Recorder* recorder, ckpt::Store* checkpoint,
-                   std::size_t checkpoint_every, bool resume)
-    : config_(std::move(config)),
-      transport_(transport),
-      recorder_(recorder),
-      checkpoint_(checkpoint),
-      checkpoint_every_(checkpoint_every),
-      data_(build_federation_data(config_)),
-      rule_(agg::make_aggregator(config_.root_rule)),
-      collector_(transport, root_collector_opts(config_)),
-      global_(data_.init_params) {
-  if (checkpoint_ != nullptr && resume) restore_checkpoint();
-  transport_.register_node(kRootId, [this](WireMessage& msg) { on_message(msg); });
-  transport_.add_peer_loss_handler([this](NodeId peer) { on_peer_loss(peer); });
-  transport_.add_peer_reconnect_handler(
-      [this](NodeId peer) { on_peer_reconnect(peer); });
-  if (config_.trace) transport_.set_tracing(true);
-}
-
-void RootNode::start() {
-  phase_deadline_ = wall_now() + config_.join_timeout_s;
-  bb::set_phase(0, round_, deadline_ns(phase_deadline_));  // joining
-  bb::record(bb::EventType::kPhase, 0, kRootId, round_);
-}
-
-void RootNode::on_idle() {
-  if (phase_ == Phase::kDone) return;
-  // A grace window expiring releases the collector's aggregation hold; the
-  // quorum may already be complete (or gone entirely).
-  if (phase_ == Phase::kTraining && collector_.expire_grace(wall_now())) {
-    if (collector_.live().empty() && !collector_.grace_pending()) {
-      if (!result_.round_accuracy.empty()) result_.global_model = global_;
-      finish_now();
-      return;
-    }
-    maybe_aggregate();
-    if (phase_ == Phase::kDone) return;
-  }
-  if (wall_now() < phase_deadline_) return;
-  if (phase_ == Phase::kJoining) {
-    // Proceed with whoever showed up; nobody at all means nothing to run.
-    if (collector_.live().empty()) {
-      finish_now();
-    } else {
-      begin_training();
-    }
-    return;
-  }
-  if (phase_ == Phase::kTraining) {
-    // Round deadline: workers that never delivered are treated as lost.
-    const std::set<NodeId> live = collector_.live();
-    for (const NodeId worker : live) {
-      if (!collector_.has_update(worker)) on_peer_loss(worker);
-    }
-    return;
-  }
-  if (phase_ == Phase::kFinishing) {
-    finish_now();  // stragglers' loss
-  }
-}
-
-void RootNode::on_message(WireMessage& msg) {
-  // Introspection first, before the phase guard: abdhfl_top must get an
-  // answer out of a root in any state, and a probe must never advance the
-  // protocol state machine.
-  if (msg.kind == MsgKind::kStatusRequest) {
-    reply_status(std::get<StatusRequest>(msg.payload), msg.env.from);
-    return;
-  }
-  if (msg.kind == MsgKind::kStatusReply) {
-    const auto& reply = std::get<StatusReply>(msg.payload);
-    const EchoEstimate est = estimate_from_echo(reply.echo_wall_ns, reply.wall_ns);
-    transport_.note_rtt(msg.env.from, kLeaderLinkClass, est.rtt_ms, est.offset_ns);
-    return;
-  }
-  if (phase_ == Phase::kDone) return;
-  switch (msg.kind) {
-    case MsgKind::kMembership: {
-      const auto& member = std::get<Membership>(msg.payload);
-      if (member.event == Membership::Event::kJoin && phase_ == Phase::kJoining) {
-        if (collector_.on_join(msg.env.from, member, round_)) begin_training();
-      } else if (member.event == Membership::Event::kLeave) {
-        collector_.on_leave(msg.env.from, round_);
-        maybe_finish();
-      }
-      return;
-    }
-    case MsgKind::kModelUpdate: {
-      if (phase_ != Phase::kTraining) return;
-      auto& update = std::get<ModelUpdate>(msg.payload);
-      if (collector_.accept_update(msg.env, update, round_, data_.init_params.size())) {
-        maybe_aggregate();
-      }
-      return;
-    }
-    default:
-      return;  // votes are not part of this runner's protocol
-  }
-}
-
-void RootNode::begin_training() {
-  result_.workers_joined = collector_.live().size();
-  phase_ = Phase::kTraining;
-  collector_.arm();
-  phase_deadline_ = wall_now() + config_.round_timeout_s;
-  bb::record(bb::EventType::kPhase, 1, kRootId, round_, collector_.live().size());
-  bb::set_phase(1, round_, deadline_ns(phase_deadline_));
-  if (transport_.trace_sink() != nullptr) {
-    transport_.trace_sink()->set_trace_id(obs::make_trace_id(config_.seed, round_));
-  }
-  // Echo every join: this is the workers' starting gun.  The envelope round
-  // is round_ (0 for a fresh run, the restored counter after a root resume)
-  // and the workers adopt it, so the whole federation restarts on one clock.
-  collector_.echo_joins(round_);
-}
-
-void RootNode::maybe_aggregate() {
-  if (phase_ != Phase::kTraining || !collector_.quorum_complete(wall_now())) return;
-  // Opened once the quorum is confirmed; covers aggregate + evaluate +
-  // broadcast.  Usually nested under the last update's net_recv span, whose
-  // trace context carries this same round's trace id from the sender.
-  std::optional<obs::Span> agg_span;
-  agg_span.emplace(transport_.trace_sink(), "global_agg", round_, kRootId);
-  std::size_t n_inputs = 0;
-  global_ = collector_.finish(*rule_, global_, n_inputs);
-
-  const double accuracy =
-      core::evaluate_params(data_.prototype, global_, data_.test_set);
-  result_.round_accuracy.push_back(accuracy);
-  result_.final_accuracy = accuracy;
-  result_.rounds_run = round_ + 1;
-  if (recorder_ != nullptr) {
-    obs::RoundRecord& rec = recorder_->begin_round("dist_root", round_);
-    rec.set("accuracy", accuracy);
-    rec.set("live_workers", static_cast<double>(collector_.live().size()));
-    rec.set("inputs", static_cast<double>(n_inputs));
-  }
-
-  // Broadcast the global model without staging a copy per send: the Payload
-  // borrows global_ for the duration of the fan-out and hands it back after.
-  Payload payload(std::in_place_type<PartialModel>);
-  auto& partial = std::get<PartialModel>(payload);
-  partial.origin = kRootId;
-  partial.flag_level = 0;
-  partial.is_global = true;
-  partial.alpha = static_cast<float>(config_.alpha);
-  partial.flag_fraction = 1.0;  // the global model covers all of D_G
-  partial.params = std::move(global_);
-  collector_.fan_out(payload, round_);
-  global_ = std::move(partial.params);
-  agg_span.reset();  // the round's root-side work ends with the broadcast
-  ping_workers();
-
-  ++round_;
-  bb::record(bb::EventType::kRound, 0, kRootId, round_ - 1, n_inputs);
-  bb::note_progress(round_);
-  if (transport_.trace_sink() != nullptr) {
-    transport_.trace_sink()->set_trace_id(obs::make_trace_id(config_.seed, round_));
-  }
-  phase_deadline_ = wall_now() + config_.round_timeout_s;
-  bb::set_phase(1, round_, deadline_ns(phase_deadline_));
-  if (checkpoint_ != nullptr &&
-      (round_ % std::max<std::size_t>(checkpoint_every_, 1) == 0 ||
-       round_ >= config_.rounds)) {
-    save_checkpoint();
-  }
-  if (round_ >= config_.rounds) {
-    result_.global_model = global_;
-    phase_ = Phase::kFinishing;
-    bb::record(bb::EventType::kPhase, 2, kRootId, round_);
-    bb::set_phase(2, round_, deadline_ns(phase_deadline_));
-    maybe_finish();
-  } else {
-    collector_.arm();
-  }
-}
-
-void RootNode::maybe_finish() {
-  // Every worker said goodbye (a leave takes it out of the live set).
-  if (phase_ == Phase::kFinishing && collector_.live().empty()) finish_now();
-}
-
-void RootNode::finish_now() {
-  phase_ = Phase::kDone;
-  bb::record(bb::EventType::kPhase, 3, kRootId, round_);
-  bb::set_phase(3, round_);
-}
-
-void RootNode::on_peer_loss(NodeId peer) {
-  if (phase_ == Phase::kDone) return;
-  if (!collector_.evict(peer, round_, wall_now())) return;
-  ++result_.workers_lost;
-  if (recorder_ != nullptr) {
-    obs::RoundRecord& rec = recorder_->begin_round("dist_churn", round_);
-    rec.set("worker", static_cast<double>(peer));
-    rec.set("live_workers", static_cast<double>(collector_.live().size()));
-  }
-  if (phase_ == Phase::kTraining) {
-    if (collector_.live().empty() && !collector_.grace_pending()) {
-      // Nothing can aggregate any more: publish whatever the last completed
-      // round produced (nothing, for a fresh run that never aggregated).
-      if (!result_.round_accuracy.empty()) result_.global_model = global_;
-      finish_now();
-    } else {
-      maybe_aggregate();  // the loss may have completed the quorum
-    }
-  } else if (phase_ == Phase::kFinishing) {
-    maybe_finish();
-  }
-}
-
-void RootNode::on_peer_reconnect(NodeId peer) {
-  // A transient link drop the worker's own send-retry machinery repaired:
-  // re-admit the member the loss path evicted and resync it.  Only
-  // mid-training, and only for a worker that joined this run and has not
-  // said goodbye.
-  if (phase_ != Phase::kTraining) return;
-  if (!collector_.readmit(peer, round_)) return;
-  ++result_.workers_rejoined;
-  if (recorder_ != nullptr) {
-    obs::RoundRecord& rec = recorder_->begin_round("dist_rejoin", round_);
-    rec.set("worker", static_cast<double>(peer));
-    rec.set("live_workers", static_cast<double>(collector_.live().size()));
-  }
-}
-
-void RootNode::ping_workers() {
-  Payload ping(std::in_place_type<StatusRequest>);
-  std::get<StatusRequest>(ping).probe = static_cast<std::uint32_t>(round_);
-  collector_.fan_out(ping, round_);  // stamped per send: each link's own t0
-}
-
-void RootNode::reply_status(const StatusRequest& request, NodeId to) {
-  // An observer's link teardown is expected — never churn, never a loss.
-  if (is_observer(to)) transport_.mark_transient(to);
-  StatusReply reply;
-  reply.node = kRootId;
-  reply.probe = request.probe;
-  reply.round = round_;
-  reply.phase = static_cast<std::uint8_t>(phase_);
-  reply.live_workers = static_cast<std::uint32_t>(collector_.live().size());
-  reply.level = 0;
-  reply.parent = kStatusNoParent;
-  reply.wall_ns = obs::wall_clock_ns();
-  reply.echo_wall_ns = request.wall_ns;
-  collector_.append_status_peers(reply);
-  if (request.detail != 0 && obs::enabled()) {
-    reply.metrics = obs::to_prometheus(obs::global_registry().scrape());
-  }
-  transport_.send({kRootId, to, round_}, reply, kLeaderLinkClass);
-}
-
-void RootNode::save_checkpoint() {
-  // Taken right after an aggregation: global_ is the round's model, round_
-  // already points at the next round to collect.  save_now for the same
-  // reason as the worker: the process this guards against dies without
-  // warning.
-  ckpt::Container c;
-  c.producer = "root";
-  c.round = round_ - 1;
-  {
-    ckpt::PayloadWriter w;
-    w.f32vec(global_);
-    c.chunks.push_back({ckpt::kTagParams, w.take()});
-  }
-  {
-    ckpt::PayloadWriter w;
-    w.f64vec(result_.round_accuracy);
-    w.u64(result_.rounds_run);
-    w.u64(result_.workers_joined);
-    w.u64(result_.workers_lost);
-    w.u64(result_.workers_rejoined);
-    c.chunks.push_back({ckpt::kTagResult, w.take()});
-  }
-  {
-    ckpt::PayloadWriter w;
-    const auto& joined = collector_.joined();
-    w.u64(joined.size());
-    for (const auto& [worker, samples] : joined) {
-      w.u64(worker);
-      w.u64(samples);
-    }
-    c.chunks.push_back({ckpt::kTagExtra, w.take()});
-  }
-  checkpoint_->save_now(c.round, ckpt::encode_container(c));
-}
-
-void RootNode::restore_checkpoint() {
-  auto snap = checkpoint_->load_latest();
-  if (!snap.has_value()) return;  // nothing yet: fresh start
-  if (snap->producer != "root") {
-    throw ckpt::CkptError("checkpoint produced by \"" + snap->producer +
-                          "\", expected \"root\"");
-  }
-  {
-    ckpt::PayloadReader r(snap->require(ckpt::kTagParams).payload);
-    auto params = r.f32vec();
-    r.expect_done();
-    if (params.size() != global_.size()) {
-      throw ckpt::CkptError("PARM chunk dimension mismatch: resume with the "
-                            "same federation configuration");
-    }
-    global_ = std::move(params);
-  }
-  {
-    ckpt::PayloadReader r(snap->require(ckpt::kTagResult).payload);
-    result_.round_accuracy = r.f64vec();
-    result_.rounds_run = static_cast<std::size_t>(r.u64());
-    result_.workers_joined = static_cast<std::size_t>(r.u64());
-    result_.workers_lost = static_cast<std::size_t>(r.u64());
-    result_.workers_rejoined = static_cast<std::size_t>(r.u64());
-    r.expect_done();
-  }
-  {
-    ckpt::PayloadReader r(snap->require(ckpt::kTagExtra).payload);
-    const auto count = r.u64();
-    std::map<NodeId, std::uint64_t> samples;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto worker = static_cast<NodeId>(r.u64());
-      samples[worker] = r.u64();
-    }
-    r.expect_done();
-    collector_.restore_joined(std::move(samples));
-  }
-  if (!result_.round_accuracy.empty()) {
-    result_.final_accuracy = result_.round_accuracy.back();
-  }
-  result_.global_model = global_;
-  round_ = static_cast<std::size_t>(snap->round) + 1;
-  resume_round_ = round_;
-  if (recorder_ != nullptr) {
-    obs::RoundRecord& rec = recorder_->begin_round("dist_resume", round_);
-    rec.set("worker", -1.0);
   }
 }
 

@@ -1,19 +1,22 @@
 #pragma once
 // Federation node logic over the transport layer (DESIGN.md §9.3, §14).
 //
-// A two-level ABD-HFL deployment as communicating nodes: one RootNode
-// (global aggregator) and W WorkerNodes (cluster leaders, each training a
-// fixed set of bottom devices).  Nodes are poll-driven state machines — the
-// owning process pumps its Transport and the handlers advance the protocol —
-// so the same classes run single-process over a LoopbackTransport or as
-// separate OS processes over TcpTransport, exchanging byte-identical frames.
+// A two-level ABD-HFL deployment as communicating nodes: a root (global
+// aggregator) and W WorkerNodes (cluster leaders, each training a fixed set
+// of bottom devices).  The root is the top cluster — a TopClusterNode
+// committee (net/top_cluster.hpp), of one member under kRootId in the
+// classic deployment (`RootNode` is an alias).  Nodes are poll-driven state
+// machines — the owning process pumps its Transport and the handlers
+// advance the protocol — so the same classes run single-process over a
+// LoopbackTransport or as separate OS processes over TcpTransport,
+// exchanging byte-identical frames.
 //
-// The protocol mechanics both classes share with the N-level AggregatorNode
-// (src/net/hier) and the TopClusterNode committee live in the
-// hier::Collector / hier::Uplink roles: RootNode is a Collector plus
-// evaluation, WorkerNode is an Uplink plus training, and an interior
-// aggregator is both at once.  The nodes here keep only what is specific to
-// them — phase machines, JSONL records, results, checkpoints.
+// The protocol mechanics shared with the N-level AggregatorNode
+// (src/net/hier) and the root live in the hier::Collector / hier::Uplink
+// roles: WorkerNode is an Uplink plus training, the root a Collector plus
+// the rotation log and evaluation, and an interior aggregator is both at
+// once.  This file keeps the worker's phase machine, records and
+// checkpoints, plus what every process derives from the config.
 //
 // Protocol per run:
 //   worker -> root   Membership kJoin (subtree samples + advertised codec)
@@ -23,23 +26,18 @@
 //     worker trains its devices from its current model, BRA-aggregates them
 //       (cluster rule), sends ModelUpdate{level=1} to the root;
 //     root BRA-aggregates the live workers' updates (root rule, inputs
-//       sorted by node id for determinism), evaluates, answers every live
-//       worker with PartialModel{is_global, alpha};
+//       sorted by node id for determinism), commits the result to its log,
+//       evaluates, answers every live worker with PartialModel{is_global,
+//       alpha};
 //     worker merges: current = alpha * global + (1-alpha) * cluster model.
 //   worker -> root   Membership kLeave after the final round; the root exits
 //                    once every live worker said goodbye (clean TCP shutdown
 //                    — no RST can clip the last global model in flight).
 //
-// Degradation: a worker that dies mid-run surfaces as a transport peer loss;
-// the root drops it from the live set, records a "dist_churn" JSONL line,
-// and finishes the round with the remaining quorum.  A transient drop is
-// recoverable: when the worker's own send-retry machinery re-establishes
-// the link, the transport's peer-reconnect event lets the root re-admit the
-// member (a "dist_rejoin" line) and answer with a resync join echo whose envelope round tells the
-// worker which quorum to land its next update in.  With rejoin_grace_s set,
-// the collector additionally HOLDS the round open for an evicted member
-// until the grace window passes — the bitwise-identical mid-tier restart
-// path (DESIGN.md §14.4).
+// Degradation: a worker that dies mid-run surfaces as a transport peer loss
+// at the root, which commits its eviction and finishes the round with the
+// remaining quorum; a transient drop the worker's send-retry machinery
+// repairs is re-admitted through the root's log (top_cluster.hpp).
 // Determinism: every process rebuilds identical data and
 // models from FederationConfig::seed (build_federation_data), and device
 // RNGs are derived from the global device index, so a loopback run is
@@ -109,14 +107,15 @@ struct FederationConfig {
   // readiness wakes it immediately — so it trades idle wakeup rate against
   // on_idle() deadline granularity, not against latency.
   double poll_interval_s = 0.05;
-  // Leader-rotation mode (DESIGN.md §15): run N co-equal top nodes (ids
-  // top_node_id(0..N-1)) instead of the single kRootId root.  The tops elect
-  // a leader among themselves; workers join every top and follow the current
-  // leader.  0 = the classic single-root federation.
+  // Leader-rotation mode (DESIGN.md §15): N > 0 runs N co-equal top nodes
+  // (ids top_node_id(0..N-1)) that elect a leader; workers join every top
+  // and follow the current leader.  0 = the classic single root, the same
+  // committee with one member under kRootId.
   std::size_t top_cluster = 0;
-  // Top-cluster mode: workers the leader waits for before starting round 0
-  // (the join gate).  0 = config.workers.  Lets a churn scenario start with
-  // a subset of the worker pool the shard layout is built for.
+  // Flat (no tree) federation: workers the root — the committee leader —
+  // waits for before starting round 0 (the join gate).  0 = config.workers.
+  // Lets a churn scenario start with a subset of the worker pool the shard
+  // layout is built for.
   std::size_t initial_workers = 0;
   // Top-cluster election timing (consensus::rotation::Config); tests tighten
   // these to keep failover drills fast.
@@ -278,64 +277,6 @@ struct RootResult {
   std::size_t workers_joined = 0;
   std::size_t workers_lost = 0;
   std::size_t workers_rejoined = 0;  // re-admitted after a transient drop
-};
-
-class RootNode {
- public:
-  /// `checkpoint` (optional, not owned) persists the global model, round
-  /// counter, accumulated result and the joined-worker ledger after every
-  /// `checkpoint_every`-th aggregation.  With `resume` the latest snapshot
-  /// is restored in the constructor: the root starts a fresh join phase (its
-  /// sockets died with the old process) but the join echo carries the
-  /// restored round, so resuming workers slot into the right quorum.
-  /// With config.tree set the root sits on top of an N-level tree: it
-  /// expects branching[0] aggregator children instead of config.workers
-  /// workers.
-  RootNode(FederationConfig config, Transport& transport,
-           obs::Recorder* recorder = nullptr, ckpt::Store* checkpoint = nullptr,
-           std::size_t checkpoint_every = 1, bool resume = false);
-
-  void start();
-  void on_idle();
-
-  [[nodiscard]] bool done() const noexcept { return phase_ == Phase::kDone; }
-  [[nodiscard]] const RootResult& result() const noexcept { return result_; }
-  /// First round this process will collect (> 0 iff a snapshot was restored).
-  [[nodiscard]] std::size_t resume_round() const noexcept { return resume_round_; }
-
- private:
-  enum class Phase { kJoining, kTraining, kFinishing, kDone };
-
-  void on_message(WireMessage& msg);
-  void on_peer_loss(NodeId peer);
-  void on_peer_reconnect(NodeId peer);
-  void begin_training();
-  void maybe_aggregate();  // fires once every live worker's update arrived
-  void maybe_finish();
-  void finish_now();  // kDone transition + blackbox bookkeeping
-  void save_checkpoint();
-  void restore_checkpoint();
-  /// Answer a status probe (live introspection — works in every phase): the
-  /// reply carries the round, phase, the per-peer table (state, RTT,
-  /// suspicion, bytes), and the Prometheus exposition when detail is set.
-  void reply_status(const StatusRequest& request, NodeId to);
-  /// Per-round RTT probes to every live worker (the peer table's freshness).
-  void ping_workers();
-
-  FederationConfig config_;
-  Transport& transport_;
-  obs::Recorder* recorder_;
-  ckpt::Store* checkpoint_;
-  std::size_t checkpoint_every_;
-  std::size_t resume_round_ = 0;
-  FederationData data_;
-  std::unique_ptr<agg::Aggregator> rule_;
-  hier::Collector collector_;  // the down-facing protocol mechanics
-  Phase phase_ = Phase::kJoining;
-  std::vector<float> global_;
-  std::size_t round_ = 0;
-  double phase_deadline_ = 0.0;  // seconds_since_epoch()-style wall clock
-  RootResult result_;
 };
 
 /// Pump `transport` until `done()` returns true (it may advance node state,

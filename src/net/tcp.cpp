@@ -211,7 +211,7 @@ SendStatus TcpTransport::send(const Envelope& env, const Payload& payload,
   if (peer.lost) return SendStatus::kPeerLost;
 
   obs::Span span(trace(), "net_send", static_cast<std::size_t>(env.round), env.to);
-  const Codec codec = codec_for(env.to);
+  const Codec codec = codec_for(env.from, env.to);
   TraceContext trace_ctx;
   if (tracing_to(env.to)) {
     trace_ctx = {span.trace_id(), span.id(), span.parent_id(), obs::wall_clock_ns()};

@@ -1,13 +1,20 @@
 #include "net/top_cluster.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 
+#include "ckpt/state.hpp"
+#include "ckpt/store.hpp"
 #include "core/trainer.hpp"
 #include "nn/serialize.hpp"
 #include "obs/blackbox.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "obs/record.hpp"
 #include "obs/trace.hpp"
+#include "topology/plan.hpp"
 
 namespace abdhfl::net {
 
@@ -15,17 +22,28 @@ namespace bb = obs::blackbox;
 namespace rot = consensus::rotation;
 
 using hier::deadline_ns;
+using hier::EchoEstimate;
+using hier::estimate_from_echo;
 using hier::wall_now;
 
 namespace {
 
+/// The committee's member ids: top_node_id(0..N-1), or the classic root's
+/// {kRootId} when config.top_cluster == 0.
+std::vector<NodeId> committee(const FederationConfig& config) {
+  if (config.top_cluster == 0) return {kRootId};
+  std::vector<NodeId> members;
+  members.reserve(config.top_cluster);
+  for (std::size_t t = 0; t < config.top_cluster; ++t) {
+    members.push_back(top_node_id(t));
+  }
+  return members;
+}
+
 rot::Config rotation_config(const FederationConfig& config, NodeId self) {
   rot::Config rc;
   rc.self = self;
-  rc.members.reserve(config.top_cluster);
-  for (std::size_t t = 0; t < config.top_cluster; ++t) {
-    rc.members.push_back(top_node_id(t));
-  }
+  rc.members = committee(config);
   rc.seed = config.seed;
   rc.heartbeat_s = config.heartbeat_s;
   rc.election_min_s = config.election_min_s;
@@ -33,26 +51,77 @@ rot::Config rotation_config(const FederationConfig& config, NodeId self) {
   return rc;
 }
 
+/// Joins that complete the join phase: with a tree spec the branching[0]
+/// level-1 aggregators, otherwise the workers (initial_workers when set).
+std::size_t expected_children(const FederationConfig& config) {
+  if (config.tree.empty()) {
+    return config.initial_workers != 0 ? config.initial_workers : config.workers;
+  }
+  topology::HierSpec spec;
+  if (!topology::parse_tree_spec(config.tree, spec)) {
+    throw std::invalid_argument("invalid tree spec: " + config.tree);
+  }
+  return spec.branching.front();
+}
+
+/// The latest membership entry about `subject` among the log's first `count`
+/// entries, restricted to `type` when given; nullptr when there is none.
+const RaftLogEntry* latest_membership(const std::vector<RaftLogEntry>& log,
+                                      std::uint64_t count, NodeId subject,
+                                      std::optional<rot::EntryType> type = std::nullopt) {
+  for (std::uint64_t i = count; i >= 1; --i) {
+    const RaftLogEntry& entry = log[static_cast<std::size_t>(i) - 1];
+    const auto t = static_cast<rot::EntryType>(entry.type);
+    const bool membership = t == rot::EntryType::kMemberJoin ||
+                            t == rot::EntryType::kMemberLeave ||
+                            t == rot::EntryType::kMemberEvict;
+    if (membership && entry.subject == subject && (!type || t == *type)) return &entry;
+  }
+  return nullptr;
+}
+
+/// The advertisement a committed join entry admitted: samples plus the link
+/// exactly as the committing leader negotiated it.
+Membership admission(const RaftLogEntry& entry) {
+  Membership member;
+  member.event = Membership::Event::kJoin;
+  member.subtree_samples = entry.samples;
+  member.codec.quantize_bits = entry.quantize_bits;
+  member.codec.topk = entry.topk;
+  member.codec.delta = entry.delta != 0;
+  member.trace = entry.trace != 0;
+  return member;
+}
+
 }  // namespace
 
 TopClusterNode::TopClusterNode(FederationConfig config, std::size_t top_index,
-                               Transport& transport, obs::Recorder* recorder)
+                               Transport& transport, obs::Recorder* recorder,
+                               ckpt::Store* checkpoint, std::size_t checkpoint_every,
+                               bool resume)
     : config_(std::move(config)),
-      index_(top_index),
-      id_(top_node_id(top_index)),
+      id_(committee(config_).at(top_index)),
       transport_(transport),
       recorder_(recorder),
+      checkpoint_(checkpoint),
+      checkpoint_every_(checkpoint_every),
       data_(build_federation_data(config_)),
       rule_(agg::make_aggregator(config_.root_rule)),
       raft_(rotation_config(config_, id_)),
-      // rejoin_grace_s stays 0: evictions are committed log entries, and the
-      // committee never holds a round open for an evicted worker.
+      expected_children_(expected_children(config_)),
       collector_(transport, {.self = id_,
                              .first_child = worker_node_id(0),
                              .link_class = kLeaderLinkClass,
                              .codec = codec_from_config(config_),
-                             .trace = config_.trace}),
+                             .trace = config_.trace,
+                             .rejoin_grace_s = config_.rejoin_grace_s}),
       global_(data_.init_params) {
+  if (checkpoint_ != nullptr && config_.top_cluster > 1) {
+    throw std::invalid_argument(
+        "top cluster: checkpoints are for a committee of one; the log replicates "
+        "a larger committee");
+  }
+  if (checkpoint_ != nullptr && resume) restore_checkpoint();
   raft_.on_commit = [this](const RaftLogEntry& entry) { apply_entry(entry); };
   raft_.on_leader_change = [this](std::uint64_t term, NodeId leader,
                                   rot::ViewReason reason) {
@@ -60,22 +129,27 @@ TopClusterNode::TopClusterNode(FederationConfig config, std::size_t top_index,
   };
   transport_.register_node(id_, [this](WireMessage& msg) { on_message(msg); });
   transport_.add_peer_loss_handler([this](NodeId peer) { on_peer_loss(peer); });
+  transport_.add_peer_reconnect_handler(
+      [this](NodeId peer) { on_peer_reconnect(peer); });
   if (config_.trace) transport_.set_tracing(true);
 }
 
 bool TopClusterNode::join_gate_met(double now) const {
   const std::size_t live = collector_.live().size();
-  const std::size_t expected =
-      config_.initial_workers != 0 ? config_.initial_workers : config_.workers;
   if (live == 0) return false;
-  return round_ > 0 || live >= expected || now >= join_deadline_;
+  // Only a member taking over past the join phase resumes at once; a fresh
+  // or restored node waits for every expected join or the deadline.
+  return phase_ != Phase::kJoining || live >= expected_children_ ||
+         now >= join_deadline_;
 }
 
 void TopClusterNode::start() {
-  join_deadline_ = wall_now() + config_.join_timeout_s;
+  const double now = wall_now();
+  join_deadline_ = now + config_.join_timeout_s;
   bb::set_phase(0, round_, deadline_ns(join_deadline_));
   bb::record(bb::EventType::kPhase, 0, id_, round_);
-  raft_.start(wall_now());
+  raft_.start(now);
+  raft_.tick(now);  // the first tick: a committee of one elects itself here
   flush_raft();
 }
 
@@ -90,6 +164,12 @@ void TopClusterNode::on_idle() {
   const double now = wall_now();
   raft_.tick(now);
   flush_raft();
+  // A grace window expiring releases the collector's aggregation hold; the
+  // quorum may already be complete (or gone entirely).
+  if (collector_.expire_grace(now)) {
+    maybe_wind_down();
+    maybe_aggregate();
+  }
   if (raft_.is_leader()) {
     // The idle-path takeover (join-timeout expiry, quiet first election) must
     // wait for the log to be FULLY applied: a new leader elected mid-round
@@ -107,14 +187,18 @@ void TopClusterNode::on_idle() {
     // member led: a worker whose leave (or eviction) perished with the old
     // leader would otherwise stay "live" forever and hold the shutdown.
     // propose_membership dedups in-flight subjects, so this is idempotent.
-    for (const NodeId worker : lost_workers_) {
+    // A snapshot: a committee of one commits (and forgets the loss) inside
+    // the proposal.
+    const std::set<NodeId> lost = lost_workers_;
+    for (const NodeId worker : lost) {
       if (collector_.live().count(worker) != 0 && leaving_.count(worker) == 0) {
         propose_membership(rot::EntryType::kMemberEvict, worker, nullptr);
       }
     }
-    if (started_training_ && phase_ == Phase::kTraining && now >= round_deadline_) {
+    if (started_training_ && phase_ != Phase::kJoining && now >= round_deadline_) {
       // Round deadline: live members that never delivered are treated as
-      // lost — through the log, so the shrunken view is the agreed one.
+      // lost — through the log, so the shrunken view is the agreed one.  In
+      // kFinishing that is every straggler that never said goodbye.
       const std::set<NodeId> live = collector_.live();
       for (const NodeId worker : live) {
         if (!collector_.has_update(worker)) {
@@ -126,7 +210,7 @@ void TopClusterNode::on_idle() {
     // A leader with nothing to coordinate past the join deadline: nothing
     // will ever run, so don't hang the process.
     if (phase_ == Phase::kJoining && now >= join_deadline_ &&
-        collector_.joined().empty() && pending_joins_.empty()) {
+        collector_.live().empty() && pending_joins_.empty()) {
       finish_now();
       return;
     }
@@ -139,6 +223,13 @@ void TopClusterNode::on_message(WireMessage& msg) {
   // the protocol.
   if (msg.kind == MsgKind::kStatusRequest) {
     reply_status(std::get<StatusRequest>(msg.payload), msg.env.from);
+    return;
+  }
+  if (msg.kind == MsgKind::kStatusReply) {
+    // A child answering the leader's per-round ping.
+    const auto& reply = std::get<StatusReply>(msg.payload);
+    const EchoEstimate est = estimate_from_echo(reply.echo_wall_ns, reply.wall_ns);
+    transport_.note_rtt(msg.env.from, kLeaderLinkClass, est.rtt_ms, est.offset_ns);
     return;
   }
   const double now = wall_now();
@@ -183,8 +274,9 @@ void TopClusterNode::on_message(WireMessage& msg) {
       if (raft_.is_leader()) {
         if (collector_.live().count(msg.env.from) != 0) {
           // Already a committed member (a restarted process re-joining the
-          // same view): re-echo the committed round directly.
-          collector_.echo_join(msg.env.from, round_);
+          // same view): re-echo the committed round directly — once the
+          // echo is no longer the join phase's starting gun.
+          if (started_training_) collector_.echo_join(msg.env.from, round_);
         } else {
           propose_membership(rot::EntryType::kMemberJoin, msg.env.from, &member);
         }
@@ -209,9 +301,9 @@ void TopClusterNode::on_message(WireMessage& msg) {
 }
 
 void TopClusterNode::on_peer_loss(NodeId peer) {
-  if (phase_ == Phase::kDone && !is_top(peer)) return;
+  if (phase_ == Phase::kDone && !is_member(peer)) return;
   const double now = wall_now();
-  if (is_top(peer)) {
+  if (is_member(peer)) {
     dead_tops_.insert(peer);
     peer_commit_.erase(peer);
     raft_.on_peer_loss(peer, now);
@@ -231,6 +323,21 @@ void TopClusterNode::on_peer_loss(NodeId peer) {
       leaving_.count(peer) == 0) {
     propose_membership(rot::EntryType::kMemberEvict, peer, nullptr);
   }
+}
+
+void TopClusterNode::on_peer_reconnect(NodeId peer) {
+  // A transient drop the child's send-retry repaired: only a child the log
+  // evicted (not one that said goodbye) comes back, and only mid-training.
+  // With one member the join commits and the resync echo goes out before
+  // the reconnect's buffered frames are delivered.
+  if (!raft_.is_leader() || phase_ != Phase::kTraining) return;
+  if (collector_.live().count(peer) != 0 || collector_.left().count(peer) != 0) return;
+  const auto& log = raft_.log();
+  const RaftLogEntry* joined =
+      latest_membership(log, log.size(), peer, rot::EntryType::kMemberJoin);
+  if (joined == nullptr) return;  // never admitted through this log
+  const Membership member = admission(*joined);
+  propose_membership(rot::EntryType::kMemberJoin, peer, &member);
 }
 
 void TopClusterNode::propose_membership(rot::EntryType type, NodeId subject,
@@ -264,6 +371,13 @@ void TopClusterNode::record_view(double reason, NodeId member) {
   rec.set("term", static_cast<double>(raft_.term()));
 }
 
+void TopClusterNode::record_member(const char* runner, NodeId child) {
+  if (recorder_ == nullptr) return;
+  obs::RoundRecord& rec = recorder_->begin_round(runner, round_);
+  rec.set("worker", static_cast<double>(child));
+  rec.set("live_workers", static_cast<double>(collector_.live().size()));
+}
+
 void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
   const auto type = static_cast<rot::EntryType>(entry.type);
   const double now = wall_now();
@@ -273,7 +387,11 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       // perform the takeover — re-derive pending membership (the previous
       // leader's proposal queue died with it) and resume the round.
       if (!raft_.is_leader() || entry.term != raft_.term()) return;
-      for (const auto& [worker, member] : pending_joins_) {
+      if (join_gate_met(now)) start_or_resume_training();
+      // A snapshot: with one member each proposal commits — and resolves its
+      // advertisement — inside the call.
+      const std::map<NodeId, Membership> joins = pending_joins_;
+      for (const auto& [worker, member] : joins) {
         // Only advertisements that never resolved: a worker already in the
         // committed view, already departed, or mid-leave is NOT re-proposed.
         if (collector_.live().count(worker) == 0 &&
@@ -281,10 +399,14 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
           propose_membership(rot::EntryType::kMemberJoin, worker, &member);
         }
       }
-      if (join_gate_met(now)) start_or_resume_training();
       return;
     }
     case rot::EntryType::kMemberJoin: {
+      // A join after a committed eviction is a re-admission.
+      const RaftLogEntry* prior =
+          latest_membership(raft_.log(), entry.index - 1, entry.subject);
+      const bool rejoin = prior != nullptr && static_cast<rot::EntryType>(prior->type) ==
+                                                  rot::EntryType::kMemberEvict;
       leaving_.erase(entry.subject);
       // A committed (re)join supersedes any remembered link death — without
       // this, a worker rejoining after a crash would be re-evicted on the
@@ -294,32 +416,32 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       // Admit the worker with the link exactly as the committing leader
       // negotiated it — on every member, so any future leader serves the
       // worker identically.  (Re-negotiating a negotiated codec is a no-op.)
-      Membership member;
-      member.event = Membership::Event::kJoin;
-      member.subtree_samples = entry.samples;
-      member.codec.quantize_bits = entry.quantize_bits;
-      member.codec.topk = entry.topk;
-      member.codec.delta = entry.delta != 0;
-      member.trace = entry.trace != 0;
+      Membership member = admission(entry);
       const auto join = pending_joins_.find(entry.subject);
       if (join != pending_joins_.end()) member.wall_ns = join->second.wall_ns;
       collector_.on_join(entry.subject, member, round_);
+      if (rejoin) {
+        ++result_.workers_rejoined;
+        record_member("dist_rejoin", entry.subject);
+      }
       bb::record(bb::EventType::kViewChange,
                  static_cast<std::uint16_t>(rot::ViewReason::kMemberJoin), id_, round_,
                  raft_.term(), entry.subject);
       record_view(static_cast<double>(rot::ViewReason::kMemberJoin), entry.subject);
-      if (raft_.is_leader()) {
-        if (started_training_) {
-          collector_.echo_join(entry.subject, round_);  // mid-run joiner starts now
-        } else if (join_gate_met(now)) {
-          start_or_resume_training();
-        }
-      }
       // The advertisement is RESOLVED: drop it so no future takeover can
       // re-propose it.  A worker evicted after this commit is neither live,
       // left nor leaving — a stale advertisement would pass the takeover's
       // unresolved check and resurrect a dead member into the view.
       pending_joins_.erase(entry.subject);
+      // Last: a failed send below can append to the log and move `entry`.
+      if (raft_.is_leader()) {
+        if (started_training_) {
+          // A mid-run joiner starts now; a re-admitted one resyncs into round_.
+          collector_.echo_join(entry.subject, round_);
+        } else if (join_gate_met(now)) {
+          start_or_resume_training();
+        }
+      }
       return;
     }
     case rot::EntryType::kMemberLeave:
@@ -329,9 +451,9 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       const bool leave = type == rot::EntryType::kMemberLeave;
       if (leave) {
         collector_.on_leave(entry.subject, round_);
-      } else {
-        (void)collector_.evict(entry.subject, round_, now);
+      } else if (collector_.evict(entry.subject, round_, now)) {
         ++result_.workers_lost;
+        record_member("dist_churn", entry.subject);
       }
       leaving_.erase(entry.subject);
       lost_workers_.erase(entry.subject);
@@ -344,16 +466,8 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       bb::record(bb::EventType::kViewChange, static_cast<std::uint16_t>(reason), id_,
                  round_, raft_.term(), entry.subject);
       record_view(static_cast<double>(reason), entry.subject);
-      if (collector_.live().empty() && !collector_.joined().empty() &&
-          phase_ != Phase::kDone && phase_ != Phase::kFinishing) {
-        // Everyone who ever joined is gone: the run is over.  Derived from
-        // the LOG, so followers wind down on the same committed entry the
-        // leader does — no election is needed just to exit.
-        phase_ = Phase::kFinishing;
-        bb::record(bb::EventType::kPhase, 2, id_, round_);
-        bb::set_phase(2, round_);
-      }
-      if (raft_.is_leader() && phase_ == Phase::kTraining) maybe_aggregate();
+      maybe_wind_down();
+      maybe_aggregate();  // the departure may have completed the quorum
       maybe_finish();
       return;
     }
@@ -379,7 +493,13 @@ void TopClusterNode::apply_entry(const RaftLogEntry& entry) {
       if (raft_.is_leader()) {
         collector_.arm();  // the next round starts empty
         broadcast_global(global_, entry.round);  // the log keeps its own copy
+        ping_children(round_ - 1);  // not entry: a failed send can grow the log
         round_deadline_ = now + config_.round_timeout_s;
+      }
+      if (checkpoint_ != nullptr &&
+          (round_ % std::max<std::size_t>(checkpoint_every_, 1) == 0 ||
+           round_ >= config_.rounds)) {
+        save_checkpoint();
       }
       // Phase tracks the LOG on every member, not just the leader: a
       // follower that never won an election still joins training on the
@@ -458,12 +578,12 @@ void TopClusterNode::broadcast_global(std::vector<float>& params, std::uint64_t 
   partial.alpha = static_cast<float>(config_.alpha);
   partial.flag_fraction = 1.0;
   partial.params = std::move(params);
-  // Both callers run inside an UNTRACED committee frame (the ack that
-  // advanced the commit index, or the takeover's), so stack parenting would
-  // pin the broadcast's net_send spans to trace 0 and orphan every worker's
-  // net_recv.  An explicitly-placed round-root span (the aggregator's
-  // subtree_agg trick) keeps the cross-process edges in this round's tree
-  // instead.
+  // A larger committee's callers run inside an UNTRACED committee frame
+  // (the ack that advanced the commit index, or the takeover's), so stack
+  // parenting would pin the broadcast's net_send spans to trace 0 and orphan
+  // every worker's net_recv.  An explicitly-placed round-root span (the
+  // aggregator's subtree_agg trick) keeps the cross-process edges in this
+  // round's tree instead.
   obs::TraceBuffer* sink = transport_.trace_sink();
   const std::uint64_t trace_id = obs::make_trace_id(config_.seed, round);
   if (sink != nullptr) sink->set_trace_id(trace_id);
@@ -473,12 +593,22 @@ void TopClusterNode::broadcast_global(std::vector<float>& params, std::uint64_t 
   params = std::move(partial.params);
 }
 
+void TopClusterNode::ping_children(std::uint64_t round) {
+  Payload ping(std::in_place_type<StatusRequest>);
+  std::get<StatusRequest>(ping).probe = static_cast<std::uint32_t>(round);
+  collector_.fan_out(ping, round);  // stamped per send: each link's own t0
+}
+
 void TopClusterNode::maybe_aggregate() {
   if (!raft_.is_leader() || phase_ != Phase::kTraining || !started_training_) return;
   // A membership change awaiting commit holds the round: the agreed view
   // must be settled before the quorum it defines can close.
   if (raft_.membership_in_flight()) return;
   if (!collector_.quorum_complete(wall_now())) return;
+  // Fold, commit and (a committee of one commits on append) evaluation and
+  // broadcast inside the round's global_agg span, usually nested under the
+  // last update's net_recv span and its trace context.
+  obs::Span agg_span(transport_.trace_sink(), "global_agg", round_, id_);
   // The fold consumes the updates in ascending node id — bitwise the
   // reference loop's fold order.
   std::size_t n_inputs = 0;
@@ -488,6 +618,22 @@ void TopClusterNode::maybe_aggregate() {
   // broadcast) only when apply_entry sees it commit.
   (void)raft_.append_model_commit(round_, std::move(out), digest, n_inputs);
   flush_raft();
+}
+
+void TopClusterNode::maybe_wind_down() {
+  // Derived from the LOG (plus the grace windows its evictions opened), so
+  // followers wind down on the same committed entry the leader does — no
+  // election is needed just to exit.  Until the join deadline more children
+  // may still arrive.
+  if (phase_ == Phase::kDone || phase_ == Phase::kFinishing) return;
+  if (phase_ == Phase::kJoining && wall_now() < join_deadline_) return;
+  if (!collector_.live().empty() || collector_.grace_pending() ||
+      collector_.joined().empty()) {
+    return;
+  }
+  phase_ = Phase::kFinishing;
+  bb::record(bb::EventType::kPhase, 2, id_, round_);
+  bb::set_phase(2, round_);
 }
 
 void TopClusterNode::maybe_finish() {
@@ -538,6 +684,9 @@ void TopClusterNode::reply_status(const StatusRequest& request, NodeId to) {
   reply.commit_index = raft_.commit_index();
   reply.view_reason = static_cast<std::uint8_t>(raft_.last_view_reason());
   collector_.append_status_peers(reply);
+  if (request.detail != 0 && obs::enabled()) {
+    reply.metrics = obs::to_prometheus(obs::global_registry().scrape());
+  }
   for (std::size_t t = 0; t < config_.top_cluster; ++t) {
     const NodeId member = top_node_id(t);
     if (member == id_) continue;
@@ -550,7 +699,89 @@ void TopClusterNode::reply_status(const StatusRequest& request, NodeId to) {
     peer.bytes_received = link.bytes_received;
     reply.peers.push_back(peer);
   }
-  (void)transport_.send({id_, to, round_}, reply, kTopLinkClass);
+  (void)transport_.send({id_, to, round_}, reply, kLeaderLinkClass);
+}
+
+void TopClusterNode::save_checkpoint() {
+  // Right after a commit: global_ is the round's model and round_ the next
+  // one to collect.  save_now: the process this guards dies without warning.
+  ckpt::Container c;
+  c.producer = "root";
+  c.round = round_ - 1;
+  {
+    ckpt::PayloadWriter w;
+    w.f32vec(global_);
+    c.chunks.push_back({ckpt::kTagParams, w.take()});
+  }
+  {
+    ckpt::PayloadWriter w;
+    w.f64vec(result_.round_accuracy);
+    w.u64(result_.rounds_run);
+    w.u64(result_.workers_joined);
+    w.u64(result_.workers_lost);
+    w.u64(result_.workers_rejoined);
+    c.chunks.push_back({ckpt::kTagResult, w.take()});
+  }
+  {
+    ckpt::PayloadWriter w;
+    const auto& joined = collector_.joined();
+    w.u64(joined.size());
+    for (const auto& [child, samples] : joined) {
+      w.u64(child);
+      w.u64(samples);
+    }
+    c.chunks.push_back({ckpt::kTagExtra, w.take()});
+  }
+  checkpoint_->save_now(c.round, ckpt::encode_container(c));
+}
+
+void TopClusterNode::restore_checkpoint() {
+  auto snap = checkpoint_->load_latest();
+  if (!snap.has_value()) return;  // nothing yet: fresh start
+  if (snap->producer != "root") {
+    throw ckpt::CkptError("checkpoint produced by \"" + snap->producer +
+                          "\", expected \"root\"");
+  }
+  {
+    ckpt::PayloadReader r(snap->require(ckpt::kTagParams).payload);
+    auto params = r.f32vec();
+    r.expect_done();
+    if (params.size() != global_.size()) {
+      throw ckpt::CkptError("PARM chunk dimension mismatch: resume with the "
+                            "same federation configuration");
+    }
+    global_ = std::move(params);
+  }
+  {
+    ckpt::PayloadReader r(snap->require(ckpt::kTagResult).payload);
+    result_.round_accuracy = r.f64vec();
+    result_.rounds_run = static_cast<std::size_t>(r.u64());
+    result_.workers_joined = static_cast<std::size_t>(r.u64());
+    result_.workers_lost = static_cast<std::size_t>(r.u64());
+    result_.workers_rejoined = static_cast<std::size_t>(r.u64());
+    r.expect_done();
+  }
+  {
+    ckpt::PayloadReader r(snap->require(ckpt::kTagExtra).payload);
+    const auto count = r.u64();
+    std::map<NodeId, std::uint64_t> samples;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const auto child = static_cast<NodeId>(r.u64());
+      samples[child] = r.u64();
+    }
+    r.expect_done();
+    collector_.restore_joined(std::move(samples));
+  }
+  if (!result_.round_accuracy.empty()) {
+    result_.final_accuracy = result_.round_accuracy.back();
+  }
+  result_.global_model = global_;
+  round_ = static_cast<std::size_t>(snap->round) + 1;
+  resume_round_ = round_;
+  if (recorder_ != nullptr) {
+    obs::RoundRecord& rec = recorder_->begin_round("dist_resume", round_);
+    rec.set("worker", -1.0);
+  }
 }
 
 }  // namespace abdhfl::net

@@ -1,19 +1,21 @@
 #pragma once
-// Leader-rotating top cluster (DESIGN.md §15).
+// The federation's top level (DESIGN.md §9.3, §15): a leader-rotating
+// committee that agrees on the global model.
 //
-// N co-equal TopClusterNodes replace the single RootNode: they elect a
-// leader among themselves with the consensus::rotation protocol and the
-// LEADER plays the classic root — it gates the join phase, collects the
-// round's worker updates in ascending id order, aggregates with the root
-// rule, and broadcasts the result.  Collection is the same hier::Collector
-// every other tier uses; this class adds only what agreement needs: the
-// elections, the log, commit-before-broadcast, the takeover, and the
-// proposal buffers that feed membership into the log.  The difference is
-// durability: the aggregated model is NOT broadcast until it has been
-// replicated and committed through the rotation log, so when the leader
-// dies at any instant, the member that wins the next election holds every
-// committed round bitwise-identically and the federation resumes inside
-// the round it stalled in:
+// N co-equal TopClusterNodes elect a leader with the consensus::rotation
+// protocol and the LEADER coordinates the children — it gates the join
+// phase, collects the round's updates in ascending id order, aggregates
+// with the root rule, and broadcasts the result.  The classic single root
+// is a committee of ONE under kRootId (`RootNode`): it elects itself on its
+// first tick and commits every entry on append, without a frame of
+// consensus traffic.  Collection is the same hier::Collector every other
+// tier uses; this class adds only what agreement needs: the elections, the
+// log, commit-before-broadcast, the takeover, and the proposal buffers that
+// feed membership into the log.  The aggregated model is NOT broadcast
+// until it has been committed through the log, so when the leader dies at
+// any instant, the member that wins the next election holds every committed
+// round bitwise-identically and the federation resumes inside the round it
+// stalled in:
 //
 //   1. the new leader re-broadcasts the last COMMITTED global model — a
 //      worker that missed the dead leader's broadcast merges it now, a
@@ -25,21 +27,20 @@
 //      just caught up trains normally;
 //   3. collection re-arms and the round completes under the new term.
 //
-// Worker membership is first-class: joins, leaves and evictions are
+// Child membership is first-class: joins, leaves, evictions and
+// re-admissions (a transport reconnect from an evicted child) are
 // replicated log entries (one view change in flight at a time), carrying
 // the subtree samples and the negotiated per-link codec, and every member
-// applies them to its collector on commit — so EVERY member, not just
-// whoever handled the handshake, can adopt a worker the moment it becomes
-// leader.  A committed eviction drops the worker's update even when it has
-// already arrived.  This replaces the classic root's ad-hoc rejoin path: a
-// worker rejoining under a new leader is echoed the committed round, not a
-// stale one.
+// applies them to its collector on commit — so EVERY member can adopt a
+// child the moment it becomes leader.  A committed eviction drops the
+// child's update even when it has already arrived.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agg/aggregator.hpp"
@@ -52,22 +53,37 @@ namespace abdhfl::net {
 
 class TopClusterNode {
  public:
-  /// `transport` must outlive the node; the node registers itself under
-  /// top_node_id(top_index) and expects links to every other committee
-  /// member plus every worker (workers dial all tops).
+  /// `transport` must outlive the node; the node registers itself as
+  /// committee member `top_index` (kRootId when config.top_cluster == 0) and
+  /// expects links to the other members plus every child.  `checkpoint`
+  /// (optional, not owned; a committee of one only, std::invalid_argument
+  /// otherwise: the log replicates a larger one) snapshots the global model,
+  /// round, result and joined-child ledger after every `checkpoint_every`-th
+  /// commit and the final one.  With `resume` the latest snapshot is
+  /// restored here; the node still runs a fresh join phase, and its join
+  /// echo carries the restored round.
   TopClusterNode(FederationConfig config, std::size_t top_index, Transport& transport,
-                 obs::Recorder* recorder = nullptr);
+                 obs::Recorder* recorder = nullptr, ckpt::Store* checkpoint = nullptr,
+                 std::size_t checkpoint_every = 1, bool resume = false);
+  /// The classic root: committee member 0 (kRootId when top_cluster == 0).
+  TopClusterNode(FederationConfig config, Transport& transport,
+                 obs::Recorder* recorder = nullptr, ckpt::Store* checkpoint = nullptr,
+                 std::size_t checkpoint_every = 1, bool resume = false)
+      : TopClusterNode(std::move(config), 0, transport, recorder, checkpoint,
+                       checkpoint_every, resume) {}
 
-  /// Arm the election timers.  Committee rank 0 deterministically wins the
-  /// first term on a quiet cluster; the join gate then runs as the classic
-  /// root's does.
+  /// Arm the election timers and tick once: a committee of one elects itself
+  /// here, committee rank 0 deterministically wins the first term on a quiet
+  /// larger cluster; the leader then gates the join phase.
   void start();
-  /// Drive timers (elections, heartbeats, join/round deadlines); call
-  /// between poll()s.
+  /// Drive timers (elections, heartbeats, grace windows, join/round
+  /// deadlines); call between poll()s.
   void on_idle();
 
   [[nodiscard]] bool done() const noexcept { return phase_ == Phase::kDone; }
   [[nodiscard]] const RootResult& result() const noexcept { return result_; }
+  /// First round this process will collect (> 0 iff a snapshot was restored).
+  [[nodiscard]] std::size_t resume_round() const noexcept { return resume_round_; }
 
   // -- consensus observers ----------------------------------------------------
   [[nodiscard]] std::uint64_t term() const noexcept { return raft_.term(); }
@@ -93,6 +109,13 @@ class TopClusterNode {
 
   void on_message(WireMessage& msg);
   void on_peer_loss(NodeId peer);
+  /// Leader only, mid-training: propose re-admission of a child the log
+  /// evicted, from its last committed advertisement.
+  void on_peer_reconnect(NodeId peer);
+  /// Whether `peer` is another committee member (not a child).
+  [[nodiscard]] bool is_member(NodeId peer) const noexcept {
+    return peer >= top_node_id(0) && peer < top_node_id(config_.top_cluster);
+  }
   /// Put every frame the rotation state machine generated on the wire.
   void flush_raft();
   [[nodiscard]] bool join_gate_met(double now) const;
@@ -108,24 +131,35 @@ class TopClusterNode {
   /// re-broadcast the last committed model, echo every member's join with
   /// the current round, re-arm collection.
   void start_or_resume_training();
-  /// Leader only: send a committed global model to every live worker,
+  /// Leader only: send a committed global model to every live child,
   /// borrowing `params` for the fan-out.
   void broadcast_global(std::vector<float>& params, std::uint64_t round);
+  /// Leader only: per-round RTT probes to every live child.
+  void ping_children(std::uint64_t round);
   void maybe_aggregate();
+  /// Everyone who ever joined is gone, no grace window awaits a return and
+  /// the join phase is over: the run winds down.
+  void maybe_wind_down();
   void maybe_finish();
   void finish_now();
   void reply_status(const StatusRequest& request, NodeId to);
   void record_view(double reason, NodeId member);
+  void record_member(const char* runner, NodeId child);
+  void save_checkpoint();
+  void restore_checkpoint();
 
   FederationConfig config_;
-  std::size_t index_;
   NodeId id_;
   Transport& transport_;
   obs::Recorder* recorder_;
+  ckpt::Store* checkpoint_;
+  std::size_t checkpoint_every_;
+  std::size_t resume_round_ = 0;
   FederationData data_;
   std::unique_ptr<agg::Aggregator> rule_;
   consensus::rotation::Node raft_;
-  // Committed worker view and the leader's round collection.  Membership is
+  std::size_t expected_children_;  // joins that meet the join gate
+  // Committed child view and the leader's round collection.  Membership is
   // applied from committed log entries only, so the view is identical on
   // every member.
   hier::Collector collector_;
@@ -144,5 +178,8 @@ class TopClusterNode {
   std::set<NodeId> dead_tops_;
   RootResult result_;
 };
+
+/// The classic root is a committee of one.
+using RootNode = TopClusterNode;
 
 }  // namespace abdhfl::net

@@ -29,8 +29,8 @@ double RetryPolicy::backoff_for(std::size_t retry) const noexcept {
 
 Transport::Transport(std::string name) : name_(std::move(name)) {}
 
-Codec Transport::codec_for(NodeId peer) const {
-  const auto it = peer_codec_.find(peer);
+Codec Transport::codec_for(NodeId self, NodeId peer) const {
+  const auto it = peer_codec_.find({self, peer});
   return it == peer_codec_.end() ? Codec{} : it->second;
 }
 
@@ -208,7 +208,7 @@ void Transport::deliver_frame(const FrameView& view, std::uint32_t link_class,
   CodecState* rx = nullptr;
   const MsgKind kind = view.kind();
   if ((kind == MsgKind::kModelUpdate || kind == MsgKind::kPartialModel) &&
-      codec_for(env.from).delta) {
+      codec_for(env.to, env.from).delta) {
     rx = &rx_codec_state(env.from, env.to);
   }
   WireMessage msg = view.decode(rx);

@@ -174,9 +174,14 @@ class Transport {
     return false;
   }
 
-  /// Parameter compression negotiated for frames addressed to `peer`.
-  void set_peer_codec(NodeId peer, Codec codec) { peer_codec_[peer] = codec; }
-  [[nodiscard]] Codec codec_for(NodeId peer) const;
+  /// Parameter compression negotiated for the directed link self -> peer:
+  /// frames `self` sends to `peer` and frames arriving from `peer` at
+  /// `self`.  Keyed by both ends because one transport may host several
+  /// nodes, each negotiating its own links to the same peer.
+  void set_peer_codec(NodeId self, NodeId peer, Codec codec) {
+    peer_codec_[{self, peer}] = codec;
+  }
+  [[nodiscard]] Codec codec_for(NodeId self, NodeId peer) const;
 
   /// Forget every delta base on links touching `peer` (both directions, both
   /// roles).  Called by the backends on any link reset.
@@ -288,7 +293,7 @@ class Transport {
   NodeId identity_parent_ = 0;
   TransportStats stats_;
   std::map<std::uint32_t, TransportStats> per_class_;
-  std::map<NodeId, Codec> peer_codec_;
+  std::map<std::pair<NodeId, NodeId>, Codec> peer_codec_;
   std::map<std::pair<NodeId, NodeId>, CodecState> tx_state_;
   std::map<std::pair<NodeId, NodeId>, CodecState> rx_state_;
   std::vector<PeerLossHandler> on_peer_loss_;

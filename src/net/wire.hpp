@@ -299,7 +299,7 @@ struct StatusReply {
   std::uint32_t node = 0;
   std::uint32_t probe = 0;        // echoed from the request
   std::uint64_t round = 0;
-  std::uint8_t phase = 0;         // node-defined (RootNode::Phase for roots)
+  std::uint8_t phase = 0;         // node-defined (TopClusterNode::Phase for roots)
   std::uint32_t live_workers = 0;
   std::uint32_t level = 0;        // replier's tree level (0 = root)
   std::uint32_t parent = kStatusNoParent;  // parent node id, or kStatusNoParent

@@ -13,7 +13,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "net/loopback.hpp"
 #include "net/node.hpp"
 #include "net/tcp.hpp"
+#include "net/top_cluster.hpp"
 #include "topology/tree.hpp"
 
 namespace abdhfl {
@@ -633,6 +636,62 @@ TEST(Federation, RootResumesSnapshotCarryingLegacyTopologyChunk) {
                         uninterrupted.result.global_model.data(),
                         resumed.result.global_model.size() * sizeof(float)),
             0);
+}
+
+TEST(Federation, RestoredRootWaitsForEveryExpectedJoin) {
+  // A restored root starts a fresh join phase: one of two expected joins is
+  // not enough for the starting gun, or over TCP the late joiner would miss
+  // the resumed round.
+  const auto root_dir = fresh_dir("gate_root");
+  {
+    ckpt::Store root_store(root_dir, 3);
+    (void)run_loopback(fed_config(2), &root_store, {}, false);
+  }
+  ckpt::Store root_store(root_dir, 3);
+  net::LoopbackTransport transport;
+  net::RootNode root(fed_config(4), transport, nullptr, &root_store, 1, true);
+  ASSERT_EQ(root.resume_round(), 2u);
+  std::map<net::NodeId, std::vector<std::uint64_t>> echoes;  // child -> rounds
+  for (std::size_t w = 0; w < 2; ++w) {
+    const net::NodeId id = net::worker_node_id(w);
+    transport.register_node(id, [&echoes, id](net::WireMessage& msg) {
+      if (msg.kind == net::MsgKind::kMembership) echoes[id].push_back(msg.env.round);
+    });
+  }
+  root.start();
+  const auto join_and_pump = [&](std::size_t w) {
+    net::Membership join;
+    join.event = net::Membership::Event::kJoin;
+    join.device = net::worker_node_id(w);
+    join.cluster = static_cast<std::uint32_t>(w);
+    join.subtree_samples = 1;
+    EXPECT_EQ(transport.send({net::worker_node_id(w), net::kRootId, 0}, join),
+              net::SendStatus::kOk);
+    for (int i = 0; i < 10; ++i) {
+      transport.poll(0.0);
+      root.on_idle();
+    }
+  };
+
+  join_and_pump(0);
+  EXPECT_TRUE(echoes.empty());
+  join_and_pump(1);
+  using Rounds = std::vector<std::uint64_t>;
+  EXPECT_EQ(echoes[net::worker_node_id(0)], Rounds{2});
+  EXPECT_EQ(echoes[net::worker_node_id(1)], Rounds{2});
+}
+
+TEST(Federation, CheckpointStoreNeedsACommitteeOfOne) {
+  // A larger committee replicates its state through the log; a store handed
+  // to one of its members is a configuration error.
+  auto config = fed_config(2);
+  config.top_cluster = 3;
+  ckpt::Store store(fresh_dir("committee_store"), 3);
+  net::LoopbackTransport transport;
+  EXPECT_THROW(net::TopClusterNode(config, 0, transport, nullptr, &store),
+               std::invalid_argument);
+  config.top_cluster = 1;
+  EXPECT_NO_THROW(net::TopClusterNode(config, 0, transport, nullptr, &store));
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "agg/aggregator.hpp"
@@ -21,6 +22,7 @@
 #include "net/loopback.hpp"
 #include "net/node.hpp"
 #include "net/tcp.hpp"
+#include "net/top_cluster.hpp"
 #include "net/transport.hpp"
 #include "topology/plan.hpp"
 
@@ -237,6 +239,28 @@ TEST(HierCollector, JoinAfterLeaveReadmits) {
   // Live again, so losing its link is churn again.
   EXPECT_TRUE(collector.evict(2, 0, 0.0));
   EXPECT_FALSE(collector.has_update(2));
+}
+
+TEST(HierCollector, JoinAfterGraceEvictionReleasesTheHold) {
+  // A child evicted under a grace window holds the round open; its
+  // committed (re)join releases the hold at once instead of at expiry.
+  net::LoopbackTransport transport;
+  Collector::Options opts = collector_opts();
+  opts.rejoin_grace_s = 20.0;
+  Collector collector(transport, opts);
+  join(collector, 1);
+  join(collector, 2);
+  collector.arm();
+  ASSERT_TRUE(collector.evict(2, 0, 0.0));
+  EXPECT_TRUE(offer(collector, 1, {1.0f, 1.0f}));
+  EXPECT_FALSE(collector.quorum_complete(1.0));  // held: 2 may come back
+  EXPECT_TRUE(collector.grace_pending());
+
+  join(collector, 2);
+  EXPECT_FALSE(collector.grace_pending());
+  EXPECT_FALSE(collector.quorum_complete(1.0));  // live again, no update yet
+  EXPECT_TRUE(offer(collector, 2, {3.0f, 3.0f}));
+  EXPECT_TRUE(collector.quorum_complete(1.0));
 }
 
 TEST(HierCollector, ArmStartsAnEmptyRound) {
@@ -471,6 +495,44 @@ TEST(HierTree, LoopbackFourLevelTreeIsBitwiseTheReference) {
   }
   // Round accuracies match the reference run exactly, too.
   EXPECT_EQ(root.result().round_accuracy, reference.round_accuracy);
+}
+
+TEST(HierTree, CompressedRootLinksLeaveDeviceLinksDense) {
+  // One loopback hosts the root, the leaf heads and their virtual devices.
+  // The codec the root negotiates with a head belongs to that directed link
+  // alone: a device's frames to the same head stay dense, so every round
+  // completes with no decode error and no eviction.
+  for (const std::string spec : {"delta", "topk:50"}) {
+    SCOPED_TRACE(spec);
+    auto config = tiny_config("2,2", 3);
+    config.round_timeout_s = 2.0;
+    ASSERT_TRUE(net::apply_compress_spec(spec, config));
+
+    net::LoopbackTransport transport;
+    net::RootNode root(config, transport);
+    std::vector<std::unique_ptr<AggregatorNode>> aggs;
+    for (std::size_t i = 0; i < 2; ++i) {
+      aggs.push_back(std::make_unique<AggregatorNode>(config, 1, i, transport, transport));
+    }
+    root.start();
+    for (auto& agg : aggs) agg->start();
+    ASSERT_TRUE(net::pump_until(transport, [&] {
+      root.on_idle();
+      for (auto& agg : aggs) agg->on_idle();
+      bool all_done = root.done();
+      for (auto& agg : aggs) all_done = all_done && agg->done();
+      return all_done;
+    }, 60.0, config.poll_interval_s));
+
+    for (auto& agg : aggs) EXPECT_FALSE(agg->failed());
+    EXPECT_EQ(root.result().rounds_run, config.rounds);
+    EXPECT_EQ(root.result().workers_lost, 0u);
+    EXPECT_EQ(transport.stats().decode_errors, 0u);
+    // Link class 2 is head <-> device traffic.
+    const net::TransportStats device = transport.class_stats(2);
+    EXPECT_GT(device.bytes_sent, 0u);
+    EXPECT_EQ(device.bytes_sent, device.bytes_sent_raw);
+  }
 }
 
 TEST(HierTree, MidAggregatorKilledAndResumedIsBitwiseIdentical) {

@@ -22,6 +22,7 @@
 #include "net/loopback.hpp"
 #include "net/node.hpp"
 #include "net/tcp.hpp"
+#include "net/top_cluster.hpp"
 #include "net/wire.hpp"
 #include "obs/trace.hpp"
 #include "nn/quantize.hpp"
@@ -297,7 +298,7 @@ TEST(Loopback, NegotiatedCodecAppliesPerPeer) {
   transport.register_node(2, [&](const WireMessage& msg) {
     got_quantized = msg.quantized;
   });
-  transport.set_peer_codec(2, Codec{8, 256});
+  transport.set_peer_codec(1, 2, Codec{8, 256});
 
   ModelUpdate update;
   update.params = test_params(300);
@@ -1058,7 +1059,7 @@ TEST(Loopback, CompressedLinkAccountsRawAndWireBytes) {
   });
   Codec codec;
   codec.topk = 16;
-  transport.set_peer_codec(2, codec);
+  transport.set_peer_codec(1, 2, codec);
 
   ModelUpdate update;
   update.params = test_params(256);
@@ -1087,7 +1088,7 @@ TEST(Tcp, ReconnectInvalidatesDeltaCache) {
 
   TcpTransport root(0, fast);
   const auto port = root.listen(0);
-  root.set_peer_codec(5, codec);
+  root.set_peer_codec(0, 5, codec);
   std::vector<WireMessage> updates;
   root.register_node(0, [&](const WireMessage& msg) {
     if (msg.kind == MsgKind::kModelUpdate) updates.push_back(msg);
@@ -1098,7 +1099,7 @@ TEST(Tcp, ReconnectInvalidatesDeltaCache) {
   {
     TcpTransport worker(5, fast);
     worker.register_node(5, [](const WireMessage&) {});
-    worker.set_peer_codec(0, codec);
+    worker.set_peer_codec(5, 0, codec);
     ASSERT_TRUE(worker.connect_peer(0, "127.0.0.1", port));
     ASSERT_EQ(worker.send({5, 0, 0}, update), SendStatus::kOk);
     ASSERT_EQ(worker.send({5, 0, 1}, update), SendStatus::kOk);
@@ -1114,7 +1115,7 @@ TEST(Tcp, ReconnectInvalidatesDeltaCache) {
   // other end no longer has.
   TcpTransport revived(5, fast);
   revived.register_node(5, [](const WireMessage&) {});
-  revived.set_peer_codec(0, codec);
+  revived.set_peer_codec(5, 0, codec);
   ASSERT_TRUE(revived.connect_peer(0, "127.0.0.1", port));
   ASSERT_EQ(revived.send({5, 0, 2}, update), SendStatus::kOk);
   ASSERT_TRUE(pump(root, revived, [&] { return updates.size() == 3; }));

@@ -98,7 +98,7 @@ abdhfl::net::FederationConfig config_from_cli(abdhfl::util::Cli& cli) {
       "top-cluster", 0,
       "leader-rotation committee size (0 = classic single root; DESIGN.md §15)"));
   config.initial_workers = static_cast<std::size_t>(cli.integer(
-      "initial-workers", 0, "top-cluster join gate: workers to wait for (0 = --workers)"));
+      "initial-workers", 0, "join gate: workers the root waits for (0 = --workers)"));
   config.heartbeat_s = cli.real("heartbeat", 0.05, "top-cluster leader keepalive (s)");
   config.election_min_s =
       cli.real("election-min", 0.25, "top-cluster election timeout lower bound (s)");
