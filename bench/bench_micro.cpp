@@ -15,10 +15,16 @@
 //                                 --benchmark_out_format=json
 // Compact CI artifact:            --bench-json=BENCH_micro.json
 //   (one entry per benchmark: op, n/d/threads parsed from the name, median
-//   per-iteration nanoseconds across repetitions — the file CI uploads so
-//   perf drift is visible without parsing google-benchmark's full schema).
+//   per-iteration nanoseconds across repetitions, and the host_* fields
+//   naming the machine and build it ran on — the file CI uploads so perf
+//   drift is visible without parsing google-benchmark's full schema).
 
 #include <benchmark/benchmark.h>
+#include <sched.h>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include <algorithm>
 #include <cstdio>
@@ -440,6 +446,64 @@ void RegisterWireBenches() {
   }
 }
 
+/// The machine and build a row was measured on: online CPUs, CPU model,
+/// compiler, build flags and git sha (the fields fedbench's provenance line
+/// prints).  Timings from two different hosts do not compare.
+struct HostInfo {
+  int nproc = 0;
+  std::string cpu = "unknown";
+  std::string compiler = std::string("g++ ") + __VERSION__;
+  std::string flags = BENCH_MICRO_CXX_FLAGS;
+  std::string git = "unknown";
+};
+
+HostInfo probe_host() {
+  HostInfo host;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) host.nproc = CPU_COUNT(&set);
+#if defined(__x86_64__) || defined(__i386__)
+  if (__get_cpuid_max(0x80000000u, nullptr) >= 0x80000004u) {
+    unsigned int regs[12] = {};
+    for (unsigned int i = 0; i < 3; ++i) {
+      __get_cpuid(0x80000002u + i, &regs[4 * i], &regs[4 * i + 1], &regs[4 * i + 2],
+                  &regs[4 * i + 3]);
+    }
+    char brand[49] = {};
+    std::memcpy(brand, regs, 48);
+    const std::string s(brand);
+    const auto first = s.find_first_not_of(' ');
+    if (first != std::string::npos) host.cpu = s.substr(first);
+  }
+#endif
+  // The sha of the checkout the binary was built from, read at run time so
+  // a rebuild without reconfiguring cannot stamp a stale one; "-dirty"
+  // marks uncommitted changes on top of it.
+  if (FILE* pipe = ::popen("git -C \"" BENCH_MICRO_SOURCE_DIR
+                           "\" describe --always --dirty --abbrev=40 2>/dev/null",
+                           "r")) {
+    char line[80] = {};
+    if (std::fgets(line, sizeof line, pipe) != nullptr) {
+      std::string sha(line);
+      while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+      if (!sha.empty()) host.git = sha;
+    }
+    ::pclose(pipe);
+  }
+  return host;
+}
+
+/// `text` as a JSON string literal.
+std::string json_string(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  out.push_back('"');
+  return out;
+}
+
 /// Console reporter that additionally accumulates per-run timings so main()
 /// can write the compact BENCH_micro.json artifact.  Benchmark names follow
 /// "<op>[/<rule>]/<n>/<d>/<threads>" with a variable number of numeric args;
@@ -477,7 +541,7 @@ class MicroJsonReporter : public benchmark::ConsoleReporter {
 
   /// Writes the accumulated entries as a JSON array.  Returns false when the
   /// file cannot be opened.
-  [[nodiscard]] bool write(const std::string& path) const {
+  [[nodiscard]] bool write(const std::string& path, const HostInfo& host) const {
     std::ofstream out(path);
     if (!out) return false;
     out.precision(12);
@@ -499,7 +563,10 @@ class MicroJsonReporter : public benchmark::ConsoleReporter {
       for (const auto& [key, value] : e.counters) {
         out << ", \"" << key << "\": " << value;
       }
-      out << "}";
+      out << ", \"host_nproc\": " << host.nproc << ", \"host_cpu\": " << json_string(host.cpu)
+          << ", \"host_compiler\": " << json_string(host.compiler)
+          << ", \"host_flags\": " << json_string(host.flags)
+          << ", \"host_git\": " << json_string(host.git) << "}";
     }
     out << "\n]\n";
     return out.good();
@@ -562,7 +629,7 @@ int main(int argc, char** argv) {
   MicroJsonReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   if (!bench_json.empty()) {
-    if (reporter.empty() || !reporter.write(bench_json)) {
+    if (reporter.empty() || !reporter.write(bench_json, probe_host())) {
       std::fprintf(stderr, "bench_micro: failed to write %s\n", bench_json.c_str());
       return 1;
     }

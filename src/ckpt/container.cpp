@@ -184,7 +184,8 @@ std::vector<T> PayloadReader::vec() {
   const auto count = pod<std::uint64_t>();
   if (count > remaining() / sizeof(T)) throw CkptError("truncated chunk payload");
   std::vector<T> out(count);
-  std::memcpy(out.data(), bytes_.data() + off_, count * sizeof(T));
+  // An empty vector's data() may be null, which memcpy must never see.
+  if (count != 0) std::memcpy(out.data(), bytes_.data() + off_, count * sizeof(T));
   off_ += count * sizeof(T);
   return out;
 }

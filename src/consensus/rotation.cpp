@@ -354,7 +354,7 @@ void Node::replicate(double now, bool force) {
 }
 
 std::uint64_t Node::append_model_commit(std::uint64_t round, std::vector<float> params,
-                                        std::uint64_t digest, std::uint64_t inputs) {
+                                        std::uint64_t inputs) {
   if (role_ != Role::kLeader) return 0;
   net::RaftLogEntry entry;
   entry.term = term_;
@@ -362,7 +362,6 @@ std::uint64_t Node::append_model_commit(std::uint64_t round, std::vector<float> 
   entry.type = static_cast<std::uint16_t>(EntryType::kModelCommit);
   entry.round = round;
   entry.samples = inputs;
-  entry.digest = digest;
   entry.params = std::move(params);
   log_.push_back(std::move(entry));
   advance_commit();  // single-member committee commits instantly

@@ -44,7 +44,7 @@ enum class Role : std::uint8_t { kFollower = 0, kCandidate = 1, kLeader = 2 };
 /// Replicated-log entry taxonomy (RaftLogEntry::type).
 enum class EntryType : std::uint16_t {
   kView = 0,         // no-op a new leader appends to commit prior-term entries
-  kModelCommit = 1,  // round's aggregated global model (digest + params)
+  kModelCommit = 1,  // round's aggregated global model (params)
   kMemberJoin = 2,   // worker joined (samples + negotiated codec ride along)
   kMemberLeave = 3,  // worker said goodbye
   kMemberEvict = 4,  // worker lost (transport peer loss at the leader)
@@ -113,7 +113,7 @@ class Node {
   /// report it.  The owner must NOT act on the model until on_commit
   /// delivers the entry back.
   std::uint64_t append_model_commit(std::uint64_t round, std::vector<float> params,
-                                    std::uint64_t digest, std::uint64_t inputs = 0);
+                                    std::uint64_t inputs = 0);
 
   /// Queue a membership change (leader only; ignored otherwise).  View
   /// changes are single-change-at-a-time: the next queued entry is appended

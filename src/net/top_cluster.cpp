@@ -8,7 +8,6 @@
 #include "ckpt/state.hpp"
 #include "ckpt/store.hpp"
 #include "core/trainer.hpp"
-#include "nn/serialize.hpp"
 #include "obs/blackbox.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -613,10 +612,9 @@ void TopClusterNode::maybe_aggregate() {
   // reference loop's fold order.
   std::size_t n_inputs = 0;
   std::vector<float> out = collector_.finish(*rule_, global_, n_inputs);
-  const std::uint64_t digest = nn::params_digest(out);
   // Append, replicate, and WAIT: the model is acted upon (installed,
   // broadcast) only when apply_entry sees it commit.
-  (void)raft_.append_model_commit(round_, std::move(out), digest, n_inputs);
+  (void)raft_.append_model_commit(round_, std::move(out), n_inputs);
   flush_raft();
 }
 

@@ -19,58 +19,26 @@ static_assert(std::endian::native == std::endian::little,
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
 
-// Frame digest: FNV-1a folded one 64-bit word at a time instead of per byte
-// — an 8x shorter serial multiply chain, which used to dominate the decode
-// hot path (the hash runs over every frame byte).  The struct is a streaming
-// state so the digest over (head, inline_payload, tail) chains across
-// arbitrary part boundaries and equals the digest over the concatenated
-// frame; value() folds the partial tail word plus its length so "trailing
-// zero byte" and "no byte" hash differently.  Still an integrity check, not
-// a MAC (wire v2 value — mirrored by the test forgery helper).
-struct FrameDigest {
-  std::uint64_t h = kFnvOffset;
-  std::uint64_t pending = 0;    // partial word, low bytes first
-  std::size_t pending_len = 0;  // bytes buffered in `pending`, always < 8
+constexpr std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t word) noexcept {
+  return (h ^ word) * kFnvPrime;
+}
 
-  void fold(std::uint64_t word) noexcept {
-    h ^= word;
-    h *= kFnvPrime;
-  }
-
-  void update(const std::uint8_t* data, std::size_t n) noexcept {
-    std::size_t i = 0;
-    while (pending_len != 0 && pending_len < 8 && i < n) {
-      pending |= static_cast<std::uint64_t>(data[i++]) << (8 * pending_len++);
-    }
-    if (pending_len == 8) {
-      fold(pending);
-      pending = 0;
-      pending_len = 0;
-    }
-    for (; i + 8 <= n; i += 8) {
-      std::uint64_t word;
-      std::memcpy(&word, data + i, sizeof(word));
-      fold(word);
-    }
-    while (i < n) {
-      pending |= static_cast<std::uint64_t>(data[i++]) << (8 * pending_len++);
+/// Fold whole stripes, word j of each stripe into lane j.  The lanes are
+/// copied into locals and the lane loop is unrolled so the independent
+/// chains stay in registers: GCC -O2 keeps a rolled loop's lanes in memory,
+/// which doubles the cost.
+void fold_stripes(std::array<std::uint64_t, FrameDigest::kLanes>& lanes,
+                  const std::uint8_t* data, std::size_t stripes) noexcept {
+  auto l = lanes;
+  for (std::size_t s = 0; s < stripes; ++s, data += FrameDigest::kStripe) {
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < FrameDigest::kLanes; ++j) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, data + j * sizeof(word), sizeof(word));
+      l[j] = fnv_fold(l[j], word);
     }
   }
-
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t out = h;
-    out ^= pending;
-    out *= kFnvPrime;
-    out ^= static_cast<std::uint64_t>(pending_len);
-    out *= kFnvPrime;
-    return out;
-  }
-};
-
-std::uint64_t frame_digest(const std::uint8_t* data, std::size_t n) noexcept {
-  FrameDigest digest;
-  digest.update(data, n);
-  return digest.value();
+  lanes = l;
 }
 
 template <class T>
@@ -89,7 +57,7 @@ T read_pod(std::span<const std::uint8_t> bytes, std::size_t& offset) {
 }
 
 // --- parameter sections ----------------------------------------------------
-// Raw dense params reuse the nn/serialize blob unchanged.  Quantized params
+// Raw dense params are a u64 count followed by the floats.  Quantized params
 // carry the nn/quantize block format: bits, block, count, per-block
 // (scale, min) pairs, packed codes — exactly QuantizedVec::wire_size()
 // bytes, encoded into and decoded out of the frame by the nn span kernels.
@@ -97,41 +65,33 @@ T read_pod(std::span<const std::uint8_t> bytes, std::size_t& offset) {
 // index list; delta only changes the transmitted values and sets a flag,
 // never the layout.
 
-std::vector<float> read_raw_blob(std::span<const std::uint8_t> body,
-                                 std::size_t& offset) {
-  // The nn/serialize blob is self-delimiting: magic/version/count header.
-  constexpr std::size_t kBlobHeader = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
-  if (offset + kBlobHeader + sizeof(std::uint64_t) > body.size()) {
-    throw WireError("truncated parameter blob header");
+std::size_t dense_section_size(std::size_t count) noexcept {
+  return sizeof(std::uint64_t) + count * sizeof(float);
+}
+
+/// The float bytes of a raw dense section, in place; advances `offset` past
+/// them.  The count comes straight off the wire (and the frame digest is not
+/// a MAC): it is bounded by the limit and by the bytes actually present
+/// before anything is sized from it.
+std::span<const std::uint8_t> read_dense_section(std::span<const std::uint8_t> body,
+                                                 std::size_t& offset) {
+  const auto count = read_pod<std::uint64_t>(body, offset);
+  if (count > kMaxWireParams) throw WireError("parameter count exceeds limit");
+  if (count > (body.size() - offset) / sizeof(float)) {
+    throw WireError("truncated parameter section");
   }
-  std::uint64_t count;
-  std::memcpy(&count, body.data() + offset + 2 * sizeof(std::uint32_t), sizeof(count));
-  // The count comes straight off the wire (and the frame digest is not a
-  // MAC): bound it by the bytes actually present before it sizes anything
-  // — nn::wire_size(count) itself overflows for count near 2^64.
-  const std::size_t capacity =
-      body.size() - offset - kBlobHeader - sizeof(std::uint64_t);
-  if (count > capacity / sizeof(float)) throw WireError("truncated parameter blob");
-  const std::size_t blob_size = nn::wire_size(static_cast<std::size_t>(count));
-  if (offset + blob_size > body.size()) throw WireError("truncated parameter blob");
-  // Parse the blob in place instead of nn::deserialize_params: the frame
-  // digest already covered every blob byte (including the trailing nn
-  // digest field), so re-hashing the floats here would double the per-frame
-  // hash cost for no additional integrity.  The nn-layer check stays for
-  // its other consumers (checkpoint files have no outer digest).
-  std::size_t pos = offset;
-  if (read_pod<std::uint32_t>(body, pos) != nn::kBlobMagic) {
-    throw WireError("parameter blob: bad model blob magic");
-  }
-  if (read_pod<std::uint32_t>(body, pos) != nn::kBlobVersion) {
-    throw WireError("parameter blob: unsupported model blob version");
-  }
-  pos += sizeof(std::uint64_t);  // count, validated above
-  std::vector<float> params(static_cast<std::size_t>(count));
-  std::memcpy(params.data(), body.data() + pos,
-              static_cast<std::size_t>(count) * sizeof(float));
-  offset += blob_size;
-  return params;
+  const auto floats = body.subspan(offset, static_cast<std::size_t>(count) * sizeof(float));
+  offset += floats.size();
+  return floats;
+}
+
+/// Copy `bytes` (already bounds-checked) out into a vector of T.
+template <class T>
+std::vector<T> copy_out(std::span<const std::uint8_t> bytes) {
+  std::vector<T> out(bytes.size() / sizeof(T));
+  // An empty vector's data() may be null, which memcpy must never see.
+  if (!out.empty()) std::memcpy(out.data(), bytes.data(), out.size() * sizeof(T));
+  return out;
 }
 
 std::vector<float> read_quantized(std::span<const std::uint8_t> body,
@@ -188,8 +148,7 @@ std::vector<float> read_params(std::span<const std::uint8_t> body, std::size_t& 
       throw WireError("truncated sparse index list");
     }
     if (delta && base->size() != d) throw WireError("delta base dimension mismatch");
-    std::vector<std::uint32_t> idx(k);
-    std::memcpy(idx.data(), body.data() + offset, k * sizeof(std::uint32_t));
+    const auto idx = copy_out<std::uint32_t>(body.subspan(offset, k * sizeof(std::uint32_t)));
     offset += k * sizeof(std::uint32_t);
     for (std::size_t j = 0; j < idx.size(); ++j) {
       if (idx[j] >= d || (j > 0 && idx[j] <= idx[j - 1])) {
@@ -204,8 +163,7 @@ std::vector<float> read_params(std::span<const std::uint8_t> body, std::size_t& 
       if (static_cast<std::size_t>(k) * sizeof(float) > body.size() - offset) {
         throw WireError("truncated sparse values");
       }
-      vals.resize(k);
-      std::memcpy(vals.data(), body.data() + offset, k * sizeof(float));
+      vals = copy_out<float>(body.subspan(offset, k * sizeof(float)));
       offset += k * sizeof(float);
     }
     std::vector<float> out =
@@ -215,8 +173,9 @@ std::vector<float> read_params(std::span<const std::uint8_t> body, std::size_t& 
     }
     return out;
   }
-  auto vals = (flags & kFlagQuantized) != 0 ? read_quantized(body, offset)
-                                            : read_raw_blob(body, offset);
+  auto vals = (flags & kFlagQuantized) != 0
+                  ? read_quantized(body, offset)
+                  : copy_out<float>(read_dense_section(body, offset));
   if (!delta) return vals;
   if (vals.size() != base->size()) throw WireError("delta base dimension mismatch");
   for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = (*base)[i] + vals[i];
@@ -238,7 +197,7 @@ std::size_t params_body_size(std::size_t count, const Codec& codec) noexcept {
     return sizeof(std::uint32_t) + sizeof(std::uint64_t) +
            k * sizeof(std::uint32_t) + values;
   }
-  if (!codec.quantized()) return nn::wire_size(count);
+  if (!codec.quantized()) return dense_section_size(count);
   return quant_section_size(count, codec.quantize_bits, codec.block);
 }
 
@@ -323,20 +282,13 @@ void encode_params(EncodedParts& out, std::span<const float> params, const Codec
       nn::dequantize_into(table, codes, bits, block, dequant_local);
       transmitted = dequant_local;
     }
-  } else if ((flags & kFlagTopK) != 0) {
-    // Sparse raw values: plain float bytes after the index list (the frame
-    // digest covers them; no inner blob framing).
-    out.inline_payload = {reinterpret_cast<const std::uint8_t*>(work.data()),
-                          work.size() * sizeof(float)};
   } else {
-    // Raw dense: nn/serialize blob split around the caller's floats — the
-    // in-memory vector IS the wire representation, nothing is copied.
-    append_pod(out.head, nn::kBlobMagic);
-    append_pod(out.head, nn::kBlobVersion);
-    append_pod(out.head, static_cast<std::uint64_t>(work.size()));
+    // Raw values go out in place — the in-memory vector IS the wire
+    // representation, nothing is copied.  A sparse section's values follow
+    // its index list; a dense section's follow their count.
+    if ((flags & kFlagTopK) == 0) append_pod(out.head, static_cast<std::uint64_t>(work.size()));
     out.inline_payload = {reinterpret_cast<const std::uint8_t*>(work.data()),
                           work.size() * sizeof(float)};
-    append_pod(out.tail, nn::params_digest(work));
   }
 
   if (!track) return;
@@ -444,7 +396,6 @@ void encode_body(EncodedParts& out, const AppendEntries& m, const Codec&,
     append_pod(out.head, e.topk);
     append_pod(out.head, e.delta);
     append_pod(out.head, e.trace);
-    append_pod(out.head, e.digest);
     // The committed model travels as a raw dense section (count + floats):
     // replication is a top-cluster-only path where the negotiated per-link
     // compression does not apply — the log must hold the exact bytes.
@@ -496,7 +447,7 @@ void encode_body(EncodedParts& out, const StatusReply& m, const Codec&,
 constexpr std::size_t kRaftEntryFixed =
     sizeof(std::uint64_t) * 2 + sizeof(std::uint16_t) + sizeof(std::uint64_t) +
     sizeof(std::uint32_t) + sizeof(std::uint64_t) + sizeof(std::uint8_t) +
-    sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t) + 2 * sizeof(std::uint64_t);
+    sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t) + sizeof(std::uint64_t);
 
 Payload decode_body(MsgKind kind, std::span<const std::uint8_t> body,
                     std::uint16_t flags, const std::vector<float>* base) {
@@ -647,18 +598,7 @@ Payload decode_body(MsgKind kind, std::span<const std::uint8_t> body,
         e.topk = read_pod<std::uint32_t>(body, offset);
         e.delta = read_pod<std::uint8_t>(body, offset);
         e.trace = read_pod<std::uint8_t>(body, offset);
-        e.digest = read_pod<std::uint64_t>(body, offset);
-        const auto count = read_pod<std::uint64_t>(body, offset);
-        if (count > kMaxWireParams) {
-          throw WireError("log entry parameter count exceeds limit");
-        }
-        if (count > (body.size() - offset) / sizeof(float)) {
-          throw WireError("truncated log entry parameters");
-        }
-        e.params.resize(static_cast<std::size_t>(count));
-        std::memcpy(e.params.data(), body.data() + offset,
-                    static_cast<std::size_t>(count) * sizeof(float));
-        offset += static_cast<std::size_t>(count) * sizeof(float);
+        e.params = copy_out<float>(read_dense_section(body, offset));
       }
       if (offset != body.size()) throw WireError("trailing bytes after append entries");
       return m;
@@ -726,6 +666,39 @@ const std::vector<float>* params_of(const Payload& payload) noexcept {
 }
 
 }  // namespace
+
+FrameDigest::FrameDigest() noexcept { lanes_.fill(kFnvOffset); }
+
+void FrameDigest::update(std::span<const std::uint8_t> bytes) noexcept {
+  if (bytes.empty()) return;
+  total_ += bytes.size();
+  if (pending_len_ != 0) {
+    const std::size_t take = std::min(bytes.size(), kStripe - pending_len_);
+    std::memcpy(pending_.data() + pending_len_, bytes.data(), take);
+    pending_len_ += take;
+    bytes = bytes.subspan(take);
+    if (pending_len_ < kStripe) return;
+    fold_stripes(lanes_, pending_.data(), 1);
+    pending_len_ = 0;
+  }
+  const std::size_t stripes = bytes.size() / kStripe;
+  fold_stripes(lanes_, bytes.data(), stripes);
+  bytes = bytes.subspan(stripes * kStripe);
+  if (!bytes.empty()) std::memcpy(pending_.data(), bytes.data(), bytes.size());
+  pending_len_ = bytes.size();
+}
+
+std::uint64_t FrameDigest::value() const noexcept {
+  auto lanes = lanes_;
+  if (pending_len_ != 0) {
+    std::array<std::uint8_t, kStripe> last{};
+    std::memcpy(last.data(), pending_.data(), pending_len_);
+    fold_stripes(lanes, last.data(), 1);
+  }
+  std::uint64_t h = kFnvOffset;
+  for (const std::uint64_t lane : lanes) h = fnv_fold(h, lane);
+  return fnv_fold(h, total_);
+}
 
 const char* to_string(MsgKind kind) noexcept {
   switch (kind) {
@@ -803,8 +776,8 @@ void encode_frame_parts(const Envelope& env, const Payload& payload, const Codec
              payload);
 
   if (trace != nullptr && trace->valid()) {
-    // The trace tail rides the END of the body (after any inline payload and
-    // blob digest), so the zero-copy raw-dense layout is untouched and the
+    // The trace tail rides the END of the body (after any inline payload),
+    // so the zero-copy raw-dense layout is untouched and the
     // payload decoders can slice it off with one subtraction.
     flags |= kFlagTraced;
     append_pod(out.tail, trace->trace_id);
@@ -820,9 +793,9 @@ void encode_frame_parts(const Envelope& env, const Payload& payload, const Codec
   std::memcpy(out.head.data() + 8, &flags, sizeof(flags));
 
   FrameDigest digest;
-  digest.update(out.head.data(), out.head.size());
-  digest.update(out.inline_payload.data(), out.inline_payload.size());
-  digest.update(out.tail.data(), out.tail.size());
+  digest.update(out.head);
+  digest.update(out.inline_payload);
+  digest.update(out.tail);
   append_pod(out.tail, digest.value());
 }
 
@@ -868,7 +841,9 @@ FrameView FrameView::parse(std::span<const std::uint8_t> frame) {
 
   std::uint64_t digest;
   std::memcpy(&digest, frame.data() + total - kDigestSize, sizeof(digest));
-  if (digest != frame_digest(frame.data(), total - kDigestSize)) {
+  FrameDigest expected;
+  expected.update(frame.first(total - kDigestSize));
+  if (digest != expected.value()) {
     throw WireError("frame digest mismatch");
   }
 
@@ -978,17 +953,8 @@ ModelUpdateHead peek_model_update(const FrameView& view) {
     offset += sizeof(std::uint8_t) + sizeof(std::uint32_t);  // bits, block
     count = read_pod<std::uint64_t>(body, offset);
   } else {
-    std::uint32_t magic = read_pod<std::uint32_t>(body, offset);
-    if (magic != nn::kBlobMagic) throw WireError("bad parameter blob magic");
-    if (read_pod<std::uint32_t>(body, offset) != nn::kBlobVersion) {
-      throw WireError("unsupported parameter blob version");
-    }
-    count = read_pod<std::uint64_t>(body, offset);
     // Bound before any caller sizes a buffer from it (mirrors decode).
-    if (body.size() - offset < sizeof(std::uint64_t) ||
-        count > (body.size() - offset - sizeof(std::uint64_t)) / sizeof(float)) {
-      throw WireError("truncated parameter blob");
-    }
+    count = read_dense_section(body, offset).size() / sizeof(float);
   }
   if (count > kMaxWireParams) throw WireError("parameter count exceeds limit");
   head.param_count = static_cast<std::size_t>(count);
@@ -997,45 +963,26 @@ ModelUpdateHead peek_model_update(const FrameView& view) {
 
 std::span<const float> model_update_params(const FrameView& view, CodecState* rx_state,
                                            std::vector<float>& scratch) {
+  if (view.kind() != MsgKind::kModelUpdate) {
+    throw WireError("not a model update frame");
+  }
   const auto body = view.payload_body();
   std::size_t offset = kModelUpdateFixed;
   if (!view.quantized() && !view.topk() && !view.delta()) {
-    // Raw dense: validate the blob in place and hand out a span into the
-    // frame — no allocation, no copy, and no second hash pass (the frame
-    // digest verified in FrameView::parse already covered every blob byte,
-    // same contract as the materializing path).
-    if (view.kind() != MsgKind::kModelUpdate) {
-      throw WireError("not a model update frame");
-    }
-    std::size_t pos = offset;
-    const auto magic = read_pod<std::uint32_t>(body, pos);
-    if (magic != nn::kBlobMagic) throw WireError("bad parameter blob magic");
-    if (read_pod<std::uint32_t>(body, pos) != nn::kBlobVersion) {
-      throw WireError("unsupported parameter blob version");
-    }
-    const auto count = read_pod<std::uint64_t>(body, pos);
-    if (body.size() < pos + sizeof(std::uint64_t) ||
-        count > (body.size() - pos - sizeof(std::uint64_t)) / sizeof(float)) {
-      throw WireError("truncated parameter blob");
-    }
-    const std::size_t float_bytes = static_cast<std::size_t>(count) * sizeof(float);
-    if (pos + float_bytes + sizeof(std::uint64_t) != body.size()) {
-      throw WireError("trailing bytes after model update");
-    }
-    const std::uint8_t* raw = body.data() + pos;
+    // Raw dense: hand out a span into the frame — no allocation, no copy,
+    // and no hash pass (the frame digest verified in FrameView::parse
+    // already covered every byte).
+    const auto raw = read_dense_section(body, offset);
+    if (offset != body.size()) throw WireError("trailing bytes after model update");
     std::span<const float> out;
-    if (reinterpret_cast<std::uintptr_t>(raw) % alignof(float) == 0) {
-      out = {reinterpret_cast<const float*>(raw), static_cast<std::size_t>(count)};
+    if (reinterpret_cast<std::uintptr_t>(raw.data()) % alignof(float) == 0) {
+      out = {reinterpret_cast<const float*>(raw.data()), raw.size() / sizeof(float)};
     } else {
-      scratch.resize(static_cast<std::size_t>(count));
-      std::memcpy(scratch.data(), raw, float_bytes);
+      scratch = copy_out<float>(raw);
       out = scratch;
     }
     if (rx_state != nullptr) rx_state->model_update.assign(out.begin(), out.end());
     return out;
-  }
-  if (view.kind() != MsgKind::kModelUpdate) {
-    throw WireError("not a model update frame");
   }
   const std::vector<float>* base = rx_state != nullptr ? &rx_state->model_update : nullptr;
   scratch = read_params(body, offset, view.flags(), base);
@@ -1081,11 +1028,11 @@ std::size_t encoded_size(const Payload& payload, const Codec& codec) {
 }
 
 std::size_t model_update_wire_size(std::size_t param_count) noexcept {
-  return frame_overhead() + kModelUpdateFixed + nn::wire_size(param_count);
+  return frame_overhead() + kModelUpdateFixed + dense_section_size(param_count);
 }
 
 std::size_t partial_model_wire_size(std::size_t param_count) noexcept {
-  return frame_overhead() + kPartialModelFixed + nn::wire_size(param_count);
+  return frame_overhead() + kPartialModelFixed + dense_section_size(param_count);
 }
 
 std::size_t vote_wire_size() noexcept { return frame_overhead() + kVoteFixed; }

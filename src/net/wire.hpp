@@ -18,7 +18,7 @@
 //   ...    32   optional trace-context tail (kFlagTraced): trace id, span id,
 //               parent span id, sender wall_ns — counted in the body length
 //               and covered by the digest, sliced off before payload decode
-//   32+n   8    FNV-1a digest over bytes [0, 32+n)
+//   32+n   8    frame digest (FrameDigest) over bytes [0, 32+n)
 //
 // All integers are little-endian (the codec refuses byte-swapped frames with
 // a clear error instead of mis-decoding them).  A parameter section inside a
@@ -32,12 +32,12 @@
 //   quantize  the transmitted values ride the nn/quantize block format
 //             instead of raw float32 (kFlagQuantized).
 //
-// Raw dense parameters reuse the nn/serialize.hpp blob — magic, version,
-// count, floats, digest — so a corrupted tensor is caught twice, once per
-// layer, and so the float bytes of an encoded frame ARE the in-memory
-// representation: the zero-copy receive path (FrameView /
-// model_update_params) hands aggregation a span into the frame without
-// decoding.
+// Raw dense parameters are a count (u64) followed by the floats — the same
+// section a replicated log entry carries its model in.  The frame digest is
+// the one integrity check over those bytes, and the float bytes of an
+// encoded frame ARE the in-memory representation: the zero-copy receive
+// path (FrameView / model_update_params) hands aggregation a span into the
+// frame without decoding.
 //
 // The four payload kinds cover everything the federation exchanges: trained
 // model updates going up, flag/global partial models (with their Eq. 1
@@ -47,6 +47,7 @@
 // nn::wire_size arithmetic); estimated_model_bytes() preserves the old
 // estimate so tests can assert the two agree up to the frame overhead.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -59,9 +60,9 @@ namespace abdhfl::net {
 using NodeId = std::uint32_t;
 
 inline constexpr std::uint32_t kWireMagic = 0xABDF4E71U;
-inline constexpr std::uint16_t kWireVersion = 4;  // v4: leader-rotation consensus
-                                                  // messages + StatusReply term/
-                                                  // leader/commit columns
+inline constexpr std::uint16_t kWireVersion = 5;  // v5: count-prefixed dense
+                                                  // sections, no model digests,
+                                                  // multi-lane frame digest
 
 /// Header bytes before the body; the trailing digest adds 8 more.
 inline constexpr std::size_t kHeaderSize = 32;
@@ -77,7 +78,7 @@ inline constexpr std::uint16_t kKnownFlags =
 
 /// Hard ceiling on any wire-supplied dense parameter count (64M floats =
 /// 256MB).  The sparse section carries its dense size d out-of-band of the
-/// value bytes, so unlike the dense blob it cannot be bounded by the bytes
+/// value bytes, so unlike a dense section it cannot be bounded by the bytes
 /// present — this cap is what stops a forged d from sizing the allocation.
 inline constexpr std::uint64_t kMaxWireParams = std::uint64_t{1} << 26;
 
@@ -205,8 +206,7 @@ struct Membership {
 
 /// One replicated-log entry of the leader-rotation protocol (DESIGN.md §15).
 /// Entries are term-stamped; kModelCommit entries carry the full committed
-/// global model (plus its digest and the codec metadata the committing leader
-/// negotiated) so ANY member that wins an election can serve the last agreed
+/// global model so ANY member that wins an election can serve the last agreed
 /// model bitwise-identically, and membership entries carry everything a new
 /// leader needs to adopt the worker (samples, negotiated codec, tracing).
 struct RaftLogEntry {
@@ -220,7 +220,6 @@ struct RaftLogEntry {
   std::uint32_t topk = 0;
   std::uint8_t delta = 0;
   std::uint8_t trace = 0;
-  std::uint64_t digest = 0;      // model commit: nn::params_digest of params
   std::vector<float> params;     // model commit: the committed global model
 };
 
@@ -347,6 +346,32 @@ struct WireMessage {
 };
 
 // ---------------------------------------------------------------------------
+// Frame digest.
+
+/// The digest every frame ends with: 64-bit FNV-1a over little-endian words,
+/// dealt round-robin to kLanes independent lanes so their multiply chains
+/// overlap, then the lanes and the total byte count folded into one value.
+/// A streaming state: the digest of (head, inline payload, tail) fed in any
+/// split equals the digest of the concatenated bytes.  A trailing partial
+/// stripe is zero-padded; the folded length tells a zero byte from no byte.
+/// An integrity check against corruption, not a MAC.
+class FrameDigest {
+ public:
+  static constexpr std::size_t kLanes = 8;
+  static constexpr std::size_t kStripe = kLanes * sizeof(std::uint64_t);
+
+  FrameDigest() noexcept;
+  void update(std::span<const std::uint8_t> bytes) noexcept;
+  [[nodiscard]] std::uint64_t value() const noexcept;
+
+ private:
+  std::array<std::uint64_t, kLanes> lanes_;
+  std::array<std::uint8_t, kStripe> pending_{};  // partial stripe, < kStripe bytes
+  std::size_t pending_len_ = 0;
+  std::uint64_t total_ = 0;
+};
+
+// ---------------------------------------------------------------------------
 // Zero-copy receive: a validated, non-owning view over one complete frame.
 
 /// A bounds-checked span over a complete encoded frame.  parse() validates
@@ -429,7 +454,7 @@ struct ModelUpdateHead {
 struct EncodedParts {
   std::vector<std::uint8_t> head;                  // header + fixed fields + section prefix
   std::span<const std::uint8_t> inline_payload{};  // raw float bytes (may be empty)
-  std::vector<std::uint8_t> tail;                  // blob digest (raw dense) + frame digest
+  std::vector<std::uint8_t> tail;                  // trace tail (if any) + frame digest
   std::vector<float> scratch_values;               // backing store for transformed values
 
   // Delta bookkeeping: the reconstruction to install into the sender's

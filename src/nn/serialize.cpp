@@ -8,8 +8,8 @@ namespace abdhfl::nn {
 
 namespace {
 
-constexpr std::uint32_t kMagic = kBlobMagic;
-constexpr std::uint32_t kVersion = kBlobVersion;
+constexpr std::uint32_t kMagic = 0xABD4F17EU;
+constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kVersionState = 2;
 // A velocity buffer per parameter tensor; no real model has anywhere near
 // this many, so a larger count is a forged header, not a big model.
@@ -40,11 +40,6 @@ T read_pod(std::span<const std::uint8_t> bytes, std::size_t& offset) {
 }
 
 }  // namespace
-
-std::uint64_t params_digest(std::span<const float> params) noexcept {
-  return fnv1a(reinterpret_cast<const std::uint8_t*>(params.data()),
-               params.size() * sizeof(float));
-}
 
 std::size_t wire_size(std::size_t param_count) noexcept {
   return sizeof(kMagic) + sizeof(kVersion) + sizeof(std::uint64_t) +

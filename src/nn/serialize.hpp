@@ -10,13 +10,6 @@
 
 namespace abdhfl::nn {
 
-/// Blob framing constants and the digest over the raw float bytes, exposed
-/// so the wire codec can emit the blob header/digest around an in-place
-/// float span (scatter-gather encode) without concatenating a scratch blob.
-inline constexpr std::uint32_t kBlobMagic = 0xABD4F17EU;
-inline constexpr std::uint32_t kBlobVersion = 1;
-[[nodiscard]] std::uint64_t params_digest(std::span<const float> params) noexcept;
-
 /// Little-endian framing: magic, version, count, raw floats, FNV-1a digest.
 [[nodiscard]] std::vector<std::uint8_t> serialize_params(std::span<const float> params);
 

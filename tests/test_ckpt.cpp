@@ -129,6 +129,25 @@ TEST(Container, RoundTripAllPayloadTypes) {
   r.expect_done();
 }
 
+TEST(Container, EmptyVectorsRoundTrip) {
+  // A zero count reads back as an empty vector (whose data() may be null)
+  // without copying anything.
+  ckpt::PayloadWriter w;
+  w.f32vec({});
+  w.f64vec({});
+  w.u64vec({});
+  w.u32vec({});
+  w.str("");
+  const auto bytes = w.take();
+  ckpt::PayloadReader r(bytes);
+  EXPECT_TRUE(r.f32vec().empty());
+  EXPECT_TRUE(r.f64vec().empty());
+  EXPECT_TRUE(r.u64vec().empty());
+  EXPECT_TRUE(r.u32vec().empty());
+  EXPECT_EQ(r.str(), "");
+  r.expect_done();
+}
+
 TEST(Container, FlippedByteAnywhereIsRejected) {
   const auto good = ckpt::encode_container(make_snapshot(3));
   // Header, producer, chunk header, payload, footer: a flip anywhere must

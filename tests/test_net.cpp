@@ -5,9 +5,15 @@
 // transport in both delivery modes, the retry/backoff policy, and a real
 // TCP link exchanging frames on localhost.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -187,13 +193,15 @@ TEST(Wire, SizeHelpersMatchEncodedFrames) {
 TEST(Wire, CodecSizesAgreeWithLegacyEstimate) {
   // The old accounting hand-computed nn::wire_size(n) per transfer; the codec
   // size is that estimate plus the frame overhead and the kind's fixed body
-  // fields.  The estimate must stay available (and consistent) as the
-  // documented fallback.
+  // fields, minus the 16 bytes of blob magic, version and digest a dense
+  // section does not carry.  The estimate must stay available (and
+  // consistent) as the documented fallback.
   for (std::size_t n : {std::size_t{1}, std::size_t{64}, std::size_t{1000}}) {
     EXPECT_EQ(estimated_model_bytes(n), nn::wire_size(n));
-    EXPECT_EQ(model_update_wire_size(n), estimated_model_bytes(n) + frame_overhead() + 16);
+    EXPECT_EQ(model_update_wire_size(n),
+              estimated_model_bytes(n) + frame_overhead() + 16 - 16);
     EXPECT_EQ(partial_model_wire_size(n),
-              estimated_model_bytes(n) + frame_overhead() + 21);
+              estimated_model_bytes(n) + frame_overhead() + 21 - 16);
   }
   ModelUpdate update;
   update.params = test_params(64);
@@ -333,7 +341,7 @@ TEST(Loopback, SimBackedFramesCarryRealAndEstimatedBytes) {
   EXPECT_EQ(seen.kind, EncodedFrame::kMessageKind);
   EXPECT_EQ(seen.bytes, model_update_wire_size(50));
   EXPECT_EQ(seen.bytes_estimated, nn::wire_size(50));
-  EXPECT_EQ(seen.bytes, seen.bytes_estimated + frame_overhead() + 16);
+  EXPECT_EQ(seen.bytes, seen.bytes_estimated + frame_overhead() + 16 - 16);
   EXPECT_EQ(network.totals().bytes, model_update_wire_size(50));
   EXPECT_EQ(network.class_totals(1).messages, 1u);
 
@@ -445,28 +453,51 @@ TEST(Tcp, NoRouteWithoutLink) {
   EXPECT_EQ(node.send({3, 4, 0}, ConsensusVote{}), SendStatus::kNoRoute);
 }
 
-// Word-folded FNV-1a 64, same algorithm and constants as the codec's frame
-// digest (wire v2): full little-endian words, then the partial tail word
-// and its length.  The digest is an integrity check, not a MAC, so a
+// The wire v5 frame digest, reimplemented independently of the codec: FNV-1a
+// 64 over little-endian words, word i into lane i % 8, the zero-padded
+// partial stripe folded last, then the eight lanes and the byte count folded
+// into one value.  The digest is an integrity check, not a MAC, so a
 // connected peer can forge it — these tests do.
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+
 std::uint64_t forge_frame_digest(const std::uint8_t* data, std::size_t n) {
-  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  constexpr std::size_t kLanes = 8;
+  std::uint64_t lanes[kLanes];
+  std::fill(std::begin(lanes), std::end(lanes), kFnvOffset);
+  const std::size_t padded = (n + 8 * kLanes - 1) / (8 * kLanes) * (8 * kLanes);
+  for (std::size_t i = 0; i < padded; i += 8) {
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < 8 && i + b < n; ++b) {
+      word |= static_cast<std::uint64_t>(data[i + b]) << (8 * b);
+    }
+    std::uint64_t& lane = lanes[(i / 8) % kLanes];
+    lane = (lane ^ word) * kFnvPrime;
+  }
+  std::uint64_t h = kFnvOffset;
+  for (const std::uint64_t lane : lanes) h = (h ^ lane) * kFnvPrime;
+  return (h ^ static_cast<std::uint64_t>(n)) * kFnvPrime;
+}
+
+// The wire v2-v4 frame digest: one serial chain of full words, then the
+// partial tail word and its length.  Only forges previous-version frames.
+std::uint64_t forge_v4_frame_digest(const std::uint8_t* data, std::size_t n) {
+  std::uint64_t h = kFnvOffset;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     std::uint64_t word;
     std::memcpy(&word, data + i, sizeof(word));
     h ^= word;
-    h *= kPrime;
+    h *= kFnvPrime;
   }
   std::uint64_t pending = 0;
   for (std::size_t b = 0; i < n; ++i, ++b) {
     pending |= static_cast<std::uint64_t>(data[i]) << (8 * b);
   }
   h ^= pending;
-  h *= kPrime;
+  h *= kFnvPrime;
   h ^= static_cast<std::uint64_t>(n % 8);
-  h *= kPrime;
+  h *= kFnvPrime;
   return h;
 }
 
@@ -483,11 +514,11 @@ TEST(Wire, ForgedParamCountCannotDriveAllocation) {
   ModelUpdate update;
   update.params = test_params(64);
 
-  // Raw path: blob count lives at body offset 16 (fixed fields) + 8 (blob
-  // magic+version).  1<<62 makes the naive count*4 size check wrap to 0.
+  // Raw path: the dense count lives right after the fixed fields, at body
+  // offset 16.  1<<62 makes the naive count*4 size check wrap to 0.
   auto raw = encode_frame({1, 2, 0}, update);
   std::uint64_t huge = std::uint64_t{1} << 62;
-  std::memcpy(raw.data() + kHeaderSize + 24, &huge, sizeof huge);
+  std::memcpy(raw.data() + kHeaderSize + 16, &huge, sizeof huge);
   refresh_digest(raw);
   EXPECT_THROW((void)decode_frame(raw), WireError);
 
@@ -501,6 +532,162 @@ TEST(Wire, ForgedParamCountCannotDriveAllocation) {
   std::memcpy(packed.data() + kHeaderSize + 21, &huge, sizeof huge);
   refresh_digest(packed);
   EXPECT_THROW((void)decode_frame(packed), WireError);
+}
+
+TEST(Wire, FrameDigestChainsAcrossPartSplits) {
+  // 33 floats: a 196-byte frame whose 188 digested bytes end in a partial
+  // stripe, so the zero-padded tail is exercised too.
+  ModelUpdate update;
+  update.sender = 3;
+  update.params = test_params(33);
+  const auto frame = encode_frame({1, 2, 5}, update);
+  ASSERT_EQ(frame.size(), 196u);
+  const std::span<const std::uint8_t> covered(frame.data(), frame.size() - kDigestSize);
+  std::uint64_t trailer;
+  std::memcpy(&trailer, frame.data() + covered.size(), sizeof trailer);
+  EXPECT_EQ(forge_frame_digest(covered.data(), covered.size()), trailer);
+
+  // Head / inline payload / tail split at every pair of offsets in 0..96.
+  for (std::size_t a = 0; a <= 96; ++a) {
+    for (std::size_t b = a; b <= 96; ++b) {
+      FrameDigest digest;
+      digest.update(covered.first(a));
+      digest.update(covered.subspan(a, b - a));
+      digest.update(covered.subspan(b));
+      ASSERT_EQ(digest.value(), trailer) << "split at " << a << ", " << b;
+    }
+  }
+
+  // One flipped bit at any byte offset — header, body or digest — is refused.
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    auto bad = frame;
+    bad[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    EXPECT_THROW((void)FrameView::parse(bad), WireError) << "offset " << i;
+  }
+}
+
+TEST(Wire, EmptyParamSectionsRoundTrip) {
+  // A 0-param dense section is just its count; every reader hands back an
+  // empty vector without copying from or into a null pointer.
+  ModelUpdate update;
+  update.sender = 4;
+  update.samples = 9;
+  const auto frame = encode_frame({4, 0, 1}, update);
+  EXPECT_EQ(frame.size(), model_update_wire_size(0));
+  const auto decoded = std::get<ModelUpdate>(decode_frame(frame).payload);
+  EXPECT_EQ(decoded.sender, 4u);
+  EXPECT_EQ(decoded.samples, 9u);
+  EXPECT_TRUE(decoded.params.empty());
+  const FrameView view = FrameView::parse(frame);
+  EXPECT_EQ(peek_model_update(view).param_count, 0u);
+  std::vector<float> scratch;
+  EXPECT_TRUE(model_update_params(view, nullptr, scratch).empty());
+
+  PartialModel partial;
+  partial.is_global = true;
+  const auto partial_frame = encode_frame({0, 4, 1}, partial);
+  EXPECT_EQ(partial_frame.size(), partial_model_wire_size(0));
+  EXPECT_TRUE(std::get<PartialModel>(decode_frame(partial_frame).payload).params.empty());
+
+  // A membership log entry carries no model.
+  AppendEntries append;
+  append.term = 2;
+  append.leader = 100;
+  RaftLogEntry join;
+  join.term = 2;
+  join.index = 1;
+  join.type = 2;
+  join.subject = 7;
+  join.samples = 40;
+  append.entries.push_back(join);
+  const auto out = std::get<AppendEntries>(decode_frame(encode_frame({100, 101, 0}, append)).payload);
+  ASSERT_EQ(out.entries.size(), 1u);
+  EXPECT_EQ(out.entries[0].subject, 7u);
+  EXPECT_EQ(out.entries[0].samples, 40u);
+  EXPECT_TRUE(out.entries[0].params.empty());
+}
+
+TEST(Wire, PreviousVersionFrameRefused) {
+  // A v4 join, hand-built with a valid v4 digest (the body layout of a
+  // membership frame did not change in v5, only the version and digest).
+  Membership join;
+  join.event = Membership::Event::kJoin;
+  join.device = 5;
+  auto v4 = encode_frame({5, 0, 0}, join);
+  const std::uint16_t version = 4;
+  std::memcpy(v4.data() + 4, &version, sizeof version);
+  const std::uint64_t v4_digest = forge_v4_frame_digest(v4.data(), v4.size() - kDigestSize);
+  std::memcpy(v4.data() + v4.size() - kDigestSize, &v4_digest, sizeof v4_digest);
+  try {
+    (void)FrameView::parse(v4);
+    FAIL() << "v4 frame accepted";
+  } catch (const WireError& e) {
+    EXPECT_STREQ(e.what(), "unsupported wire version 4");
+  }
+
+  // Loopback: one decode error, no handler call; a v5 join still lands.
+  {
+    sim::Simulator simulator;
+    util::Rng rng(5);
+    sim::Network network(simulator, rng);
+    network.set_default_latency(std::make_unique<sim::FixedLatency>(0.1));
+    LoopbackTransport transport(simulator, network);
+    int joins = 0;
+    transport.register_node(0, [&](const WireMessage&) { ++joins; });
+    sim::Message msg;
+    msg.from = 5;
+    msg.to = 0;
+    msg.kind = EncodedFrame::kMessageKind;
+    msg.bytes = v4.size();
+    msg.payload = std::make_shared<const EncodedFrame>(EncodedFrame{v4, 0});
+    network.send(std::move(msg), 0);
+    simulator.run();
+    EXPECT_EQ(transport.stats().decode_errors, 1u);
+    EXPECT_EQ(joins, 0);
+    EXPECT_EQ(transport.send({5, 0, 0}, join), SendStatus::kOk);
+    simulator.run();
+    EXPECT_EQ(joins, 1);
+    EXPECT_EQ(transport.stats().decode_errors, 1u);
+  }
+
+  // TCP: the listener drops the v4 connection and keeps serving v5 peers.
+  RetryPolicy fast;
+  fast.max_attempts = 3;
+  fast.initial_backoff_s = 0.01;
+  fast.max_backoff_s = 0.05;
+  TcpTransport root(0, fast);
+  const auto port = root.listen(0);
+  ASSERT_GT(port, 0);
+  int joins = 0;
+  root.register_node(0, [&](const WireMessage& msg) {
+    if (msg.kind == MsgKind::kMembership) ++joins;
+  });
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::send(fd, v4.data(), v4.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(v4.size()));
+  for (int i = 0; i < 400 && root.stats().decode_errors == 0; ++i) root.poll(0.01);
+  EXPECT_EQ(root.stats().decode_errors, 1u);
+  EXPECT_EQ(joins, 0);
+  timeval timeout{2, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+  char byte = 0;
+  const ssize_t n = ::recv(fd, &byte, 1, 0);
+  EXPECT_TRUE(n == 0 || (n < 0 && errno == ECONNRESET)) << "connection not dropped";
+  ::close(fd);
+
+  TcpTransport worker(6, fast);
+  worker.register_node(6, [](const WireMessage&) {});
+  ASSERT_TRUE(worker.connect_peer(0, "127.0.0.1", port));
+  join.device = 6;
+  EXPECT_EQ(worker.send({6, 0, 0}, join), SendStatus::kOk);
+  ASSERT_TRUE(pump(root, worker, [&] { return joins == 1; }));
+  EXPECT_EQ(root.stats().decode_errors, 1u);
 }
 
 TEST(Tcp, HandlerReentrantLinkMutationDoesNotCorruptDrain) {
@@ -1235,7 +1422,7 @@ TEST(Wire, ForgedTraceFlagCannotTruncateDecode) {
   EXPECT_THROW((void)FrameView::parse(small).trace_context(), WireError);
 
   // On a frame large enough to "hold" a tail, the forged flag slices 32
-  // payload bytes off — the blob layer must catch the truncation.
+  // payload bytes off — the dense section's count must catch the truncation.
   ModelUpdate update;
   update.params = test_params(16);
   auto big = encode_frame({1, 0, 0}, update);

@@ -147,14 +147,13 @@ TEST(Rotation, SingleMemberCommitteeElectsAndCommitsInstantly) {
 
   const auto params = test_params(16);
   const std::uint64_t index =
-      bus.nodes[0]->append_model_commit(0, params, 0xABCDu, 3);
+      bus.nodes[0]->append_model_commit(0, params, 3);
   EXPECT_EQ(index, 2u);  // after the view no-op
   EXPECT_EQ(bus.nodes[0]->commit_index(), 2u);
   ASSERT_EQ(bus.applied[100].size(), 2u);
   EXPECT_EQ(static_cast<EntryType>(bus.applied[100][0].type), EntryType::kView);
   const net::RaftLogEntry& model = bus.applied[100][1];
   EXPECT_EQ(static_cast<EntryType>(model.type), EntryType::kModelCommit);
-  EXPECT_EQ(model.digest, 0xABCDu);
   EXPECT_EQ(model.samples, 3u);
   ASSERT_EQ(model.params.size(), params.size());
   EXPECT_EQ(std::memcmp(model.params.data(), params.data(),
@@ -184,9 +183,9 @@ TEST(Rotation, LeaderReplicatesModelCommitsToEveryMemberInOrder) {
 
   const auto round0 = test_params(24, 0.0f);
   const auto round1 = test_params(24, 1.0f);
-  leader->append_model_commit(0, round0, 11, 3);
+  leader->append_model_commit(0, round0, 3);
   bus.step(0.01);
-  leader->append_model_commit(1, round1, 22, 3);
+  leader->append_model_commit(1, round1, 3);
   for (int i = 0; i < 10; ++i) bus.step(0.01);
 
   for (const auto& node : bus.nodes) {
@@ -211,7 +210,7 @@ TEST(Rotation, LeaderDeathTriggersReelectionAndCommitsSurvive) {
   Node* first = bus.elect();
   ASSERT_NE(first, nullptr);
   const auto committed = test_params(24, 2.0f);
-  first->append_model_commit(0, committed, 77, 3);
+  first->append_model_commit(0, committed, 3);
   for (int i = 0; i < 5; ++i) bus.step(0.01);
   ASSERT_EQ(bus.nodes[1]->commit_index(), 2u);
 
@@ -226,7 +225,6 @@ TEST(Rotation, LeaderDeathTriggersReelectionAndCommitsSurvive) {
   for (const net::RaftLogEntry& entry : second->log()) {
     if (static_cast<EntryType>(entry.type) != EntryType::kModelCommit) continue;
     found = true;
-    EXPECT_EQ(entry.digest, 77u);
     ASSERT_EQ(entry.params.size(), committed.size());
     EXPECT_EQ(std::memcmp(entry.params.data(), committed.data(),
                           committed.size() * sizeof(float)),
@@ -235,7 +233,7 @@ TEST(Rotation, LeaderDeathTriggersReelectionAndCommitsSurvive) {
   EXPECT_TRUE(found);
 
   // And the surviving pair still commits new entries (majority 2 of 3).
-  second->append_model_commit(1, test_params(24, 3.0f), 88, 2);
+  second->append_model_commit(1, test_params(24, 3.0f), 2);
   for (int i = 0; i < 10; ++i) bus.step(0.01);
   EXPECT_EQ(second->commit_index(), second->last_index());
 }
@@ -245,7 +243,7 @@ TEST(Rotation, VoteRestrictionRejectsStaleLogs) {
   bus.start();
   Node* leader = bus.elect();
   ASSERT_NE(leader, nullptr);
-  leader->append_model_commit(0, test_params(8), 5, 3);
+  leader->append_model_commit(0, test_params(8), 3);
   for (int i = 0; i < 5; ++i) bus.step(0.01);
 
   Node* follower = bus.nodes[1].get();
@@ -375,7 +373,6 @@ TEST(RotationWire, AppendEntriesRoundTripBitwise) {
   model.type = static_cast<std::uint16_t>(EntryType::kModelCommit);
   model.round = 2;
   model.samples = 5;
-  model.digest = 0xDEADBEEFCAFEF00DULL;
   model.params = test_params(33);
   append.entries.push_back(model);
 
@@ -402,7 +399,6 @@ TEST(RotationWire, AppendEntriesRoundTripBitwise) {
   EXPECT_EQ(out.commit_index, 6u);
   ASSERT_EQ(out.entries.size(), 3u);
   EXPECT_EQ(out.entries[0].type, view.type);
-  EXPECT_EQ(out.entries[1].digest, model.digest);
   EXPECT_EQ(out.entries[1].samples, 5u);
   ASSERT_EQ(out.entries[1].params.size(), model.params.size());
   EXPECT_EQ(std::memcmp(out.entries[1].params.data(), model.params.data(),

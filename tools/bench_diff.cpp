@@ -7,7 +7,10 @@
 // Entries are matched by "name"; every numeric field the two sides share
 // (median_ns plus any user counters — bytes_wire, bytes_round, ...) is
 // reported as `base -> new (ratio)`.  Entries present on only one side are
-// listed as added/removed.  The tool is report-only: it exits 0 whenever
+// listed as added/removed.  The host_* fields (the machine and build a row
+// was measured on) are not diffed; when the two files name different hosts
+// (CPU model or CPU count) one warning says so, since their timings do not
+// compare.  The tool is report-only: it exits 0 whenever
 // both files parse, regardless of how bad the deltas look — CI runs it as a
 // non-blocking annotation, thresholds stay with the humans reading it.
 //
@@ -67,12 +70,27 @@ bool load_bench_json(const std::string& path, BenchFile& out) {
   return true;
 }
 
-/// Metric keys worth diffing: numeric, not identity/shape metadata.
+/// Metric keys worth diffing: numeric, not identity/shape/host metadata.
 bool diffable(const std::string& key, const JsonObject& fields) {
   static const std::set<std::string> skip = {"name", "op", "n", "d", "threads",
                                             "repetitions"};
   const auto it = fields.find(key);
-  return it != fields.end() && !it->second.is_string && skip.count(key) == 0;
+  return it != fields.end() && !it->second.is_string && skip.count(key) == 0 &&
+         key.rfind("host_", 0) != 0;
+}
+
+/// The host a file was measured on — CPU model and CPU count of its first
+/// entry that records them.
+std::string host_of(const BenchFile& file) {
+  for (const auto& entry : file) {
+    const JsonObject& fields = entry.second;
+    const auto cpu = fields.find("host_cpu");
+    const auto nproc = fields.find("host_nproc");
+    if (cpu != fields.end() && nproc != fields.end()) {
+      return cpu->second.text + ", " + nproc->second.text + " cpus";
+    }
+  }
+  return "not recorded";
 }
 
 }  // namespace
@@ -84,6 +102,14 @@ int main(int argc, char** argv) {
   }
   BenchFile base, next;
   if (!load_bench_json(argv[1], base) || !load_bench_json(argv[2], next)) return 2;
+
+  const std::string base_host = host_of(base);
+  const std::string next_host = host_of(next);
+  if (base_host != next_host) {
+    std::printf("bench_diff: warning: different hosts (base: %s; new: %s), timings do "
+                "not compare\n",
+                base_host.c_str(), next_host.c_str());
+  }
 
   std::printf("%-44s %-16s %14s %14s %8s\n", "benchmark", "metric", "base", "new",
               "ratio");
