@@ -83,6 +83,10 @@ void RegisterAggBenches() {
     // Third arg: aggregator thread fan-out (serial baseline vs pool).
     bench->Args({8, 1000, 1})->Args({32, 1000, 1})->Args({8, 10000, 1})->Args(
         {32, 10000, 1});
+    if (std::strcmp(rule, "median") == 0 || std::strcmp(rule, "trimmed_mean") == 0) {
+      // fedbench wide-dense's folds: n = 4 leaf heads, n = 16 at the root.
+      bench->Args({4, 68362, 1})->Args({16, 68362, 1});
+    }
     if (std::strcmp(rule, "mean") != 0) {
       bench->Args({8, 100000, 1})
           ->Args({32, 100000, 1})

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -13,35 +14,33 @@ namespace abdhfl::agg {
 
 namespace {
 
-/// Run `column_fn(column_of_n_floats) -> float` for every coordinate,
-/// partitioning the coordinate range across the pool.  Coordinates are
-/// gathered in tiles so each chunk reads the update matrix in long row
-/// segments (kern::gather_columns) instead of one strided float per
-/// coordinate.  column_fn may permute its column in place (it is per-chunk
-/// scratch).  Every output element depends only on its own column, so the
-/// partition cannot change the result: parallel output is bitwise-identical
-/// to serial.
-template <class ColumnFn>
-void for_each_column(const std::vector<ModelVec>& updates, std::size_t dim,
-                     std::size_t threads, ModelVec& out, ColumnFn column_fn) {
+/// Sort every coordinate's n values and hand each sorted tile to
+/// `read(tile, width, out + base)`.  Row k of a tile is input k's contiguous
+/// segment [base, base + kSortTile), copied with one memcpy, and the network
+/// sorts all columns of the tile at once (kern::sort_tile_columns).  Threads
+/// partition whole tiles and every output element depends only on its own
+/// column, so parallel output is bitwise-identical to serial.
+template <class ReadFn>
+void sort_tiles(const std::vector<ModelVec>& updates, std::size_t dim,
+                std::size_t threads, ModelVec& out, ReadFn read) {
+  using tensor::kern::kSortTile;
   const std::size_t n = updates.size();
-  std::vector<const float*> rows(n);
-  for (std::size_t k = 0; k < n; ++k) rows[k] = updates[k].data();
-
-  // ~64K floats of gather scratch per chunk, at least 16 coordinates.
-  const std::size_t tile =
-      std::clamp<std::size_t>(std::size_t{65536} / std::max<std::size_t>(n, 1), 16, 1024);
-
+  const auto net = tensor::kern::sorting_network(n);
   util::global_pool().parallel_ranges(
-      0, dim,
+      0, (dim + kSortTile - 1) / kSortTile,
       [&](std::size_t lo, std::size_t hi) {
-        std::vector<float> gathered(tile * n);
-        for (std::size_t base = lo; base < hi; base += tile) {
-          const std::size_t stop = std::min(base + tile, hi);
-          tensor::kern::gather_columns(rows.data(), n, base, stop, gathered.data());
-          for (std::size_t c = base; c < stop; ++c) {
-            out[c] = column_fn(gathered.data() + (c - base) * n);
+        // Value-initialized, so the columns past a partial tile's width hold
+        // defined (if meaningless) floats when the network sorts them.
+        std::vector<float> tile(n * kSortTile);
+        for (std::size_t t = lo; t < hi; ++t) {
+          const std::size_t base = t * kSortTile;
+          const std::size_t width = std::min(kSortTile, dim - base);
+          for (std::size_t k = 0; k < n; ++k) {
+            std::memcpy(tile.data() + k * kSortTile, updates[k].data() + base,
+                        width * sizeof(float));
           }
+          tensor::kern::sort_tile_columns(tile.data(), net.data(), net.size());
+          read(tile.data(), width, out.data() + base);
         }
       },
       threads);
@@ -73,13 +72,16 @@ ModelVec MedianAggregator::aggregate(const std::vector<ModelVec>& updates) {
   ModelVec out(dim);
   telemetry_ = {n, n, 0.0, 0.0, {}};
   const std::size_t mid = n / 2;
-  for_each_column(updates, dim, threads(), out, [n, mid](float* col) {
-    std::nth_element(col, col + mid, col + n);
-    if (n % 2 == 1) return col[mid];
-    const float hi = col[mid];
-    const float lo = *std::max_element(col, col + mid);
-    return 0.5f * (lo + hi);
-  });
+  sort_tiles(updates, dim, threads(), out,
+             [n, mid](const float* tile, std::size_t width, float* dst) {
+               const float* hi = tile + mid * tensor::kern::kSortTile;
+               if (n % 2 == 1) {
+                 std::memcpy(dst, hi, width * sizeof(float));
+                 return;
+               }
+               const float* lo = hi - tensor::kern::kSortTile;
+               for (std::size_t c = 0; c < width; ++c) dst[c] = 0.5f * (lo[c] + hi[c]);
+             });
   if (forensics()) {
     const auto dist = distances_to(updates, out, dim, threads());
     telemetry_.verdicts.resize(n);
@@ -104,12 +106,10 @@ ModelVec TrimmedMeanAggregator::aggregate(const std::vector<ModelVec>& updates) 
   telemetry_ = {n, keep, 0.0, 0.0, {}};
 
   ModelVec out(dim);
-  for_each_column(updates, dim, threads(), out, [n, trim, keep](float* col) {
-    std::sort(col, col + n);
-    double acc = 0.0;
-    for (std::size_t k = trim; k < trim + keep; ++k) acc += col[k];
-    return static_cast<float>(acc / static_cast<double>(keep));
-  });
+  sort_tiles(updates, dim, threads(), out,
+             [trim, keep](const float* tile, std::size_t width, float* dst) {
+               tensor::kern::mean_tile_rows(tile, trim, keep, width, dst);
+             });
   if (forensics()) {
     // Coordinate-wise trimming has no per-input keep set; attribute by
     // distance to the output — the `keep` closest inputs count as kept

@@ -26,6 +26,8 @@
 // them.
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 namespace abdhfl::tensor::kern {
 
@@ -91,15 +93,35 @@ void accumulate_scaled(double w, const float* x, double* acc,
 void accumulate_clipped_diff(double s, const float* u, const float* v,
                              double* acc, std::size_t n) noexcept;
 
-// ---- strided column gather ------------------------------------------------
+// ---- sorting network (coordinate-wise order statistics) ------------------
 
-/// Gather columns [col_lo, col_hi) of the logical (n_rows x row_len) matrix
-/// whose rows are given by pointers, into a column-major tile:
-///   out[(c - col_lo) * n_rows + r] = rows[r][c].
-/// Coordinate-wise rules (median, trimmed mean) sort these contiguous
-/// columns instead of striding across n_rows vectors per coordinate.
-void gather_columns(const float* const* rows, std::size_t n_rows,
-                    std::size_t col_lo, std::size_t col_hi,
-                    float* out) noexcept;
+/// Coordinates per tile of the sorting-network kernels.  A tile is n rows of
+/// kSortTile floats: row k holds input k's coordinates [base, base +
+/// kSortTile), a contiguous segment, so filling it is one memcpy per input.
+inline constexpr std::size_t kSortTile = 64;
+
+/// One compare-exchange: afterwards row `lo` holds the smaller and row `hi`
+/// the larger value of every column (lo < hi).
+struct Comparator {
+  std::uint32_t lo, hi;
+};
+
+/// Batcher's odd-even merge-sort network for n inputs (any n), in execution
+/// order.  Non-powers of two are the next power's network with every
+/// comparator that touches a row >= n dropped.
+[[nodiscard]] std::vector<Comparator> sorting_network(std::size_t n);
+
+/// Sort every column of a tile (row stride kSortTile, all kSortTile columns)
+/// ascending by applying `net`.  Each compare-exchange is a conditional swap
+/// -- rows exchange a column's values only where hi < lo -- so every column
+/// stays a permutation of its inputs, also with +-0 and NaN (a comparison
+/// with NaN is false, so NaN never moves through a comparator).
+void sort_tile_columns(float* tile, const Comparator* net,
+                       std::size_t count) noexcept;
+
+/// out[c] = float(sum / rows) for c < width, where sum adds the tile rows
+/// [row_lo, row_lo + rows) of column c into a double in ascending row order.
+void mean_tile_rows(const float* tile, std::size_t row_lo, std::size_t rows,
+                    std::size_t width, float* out) noexcept;
 
 }  // namespace abdhfl::tensor::kern

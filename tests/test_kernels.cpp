@@ -1,12 +1,16 @@
 // Kernel-layer tests: vectorized reductions vs the sequential-double
 // references (float-ULP-scale tolerance, adversarial inputs included),
 // elementwise kernels bitwise against their references, the packed GEMM
-// bitwise against the naive triple loop, and every aggregation rule bitwise
-// identical across thread counts 1 / 2 / 8.
+// bitwise against the naive triple loop, every aggregation rule bitwise
+// identical across thread counts 1 / 2 / 8, and the sorting network behind
+// median / trimmed mean against the per-column sort it replaced.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -153,24 +157,6 @@ TEST(Kernels, ElementwiseKernelsMatchScalarFormulas) {
   }
 }
 
-TEST(Kernels, GatherColumnsMatchesDirectIndexing) {
-  const std::size_t n_rows = 7, row_len = 523;
-  std::vector<std::vector<float>> rows;
-  std::vector<const float*> ptrs;
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    rows.push_back(random_vec(row_len, 600 + r));
-    ptrs.push_back(rows.back().data());
-  }
-  const std::size_t lo = 13, hi = 300;
-  std::vector<float> out((hi - lo) * n_rows);
-  kern::gather_columns(ptrs.data(), n_rows, lo, hi, out.data());
-  for (std::size_t c = lo; c < hi; ++c) {
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      EXPECT_EQ(out[(c - lo) * n_rows + r], rows[r][c]);
-    }
-  }
-}
-
 TEST(Kernels, PackedGemmBitwiseMatchesNaive) {
   util::Rng rng(77);
   const std::size_t shapes[][3] = {{3, 5, 7}, {1, 1, 1}, {16, 128, 4},
@@ -230,6 +216,202 @@ TEST(Kernels, KrumScoresBitwiseAcrossThreadCounts) {
     ASSERT_EQ(s1.size(), st.size());
     EXPECT_EQ(std::memcmp(s1.data(), st.data(), s1.size() * sizeof(double)), 0);
   }
+}
+
+// ---- sorting-network order statistics vs the per-column sort -------------
+//
+// The oracle is the per-column code the network replaced: gather a column,
+// std::sort it and add the kept values into a double in ascending order for
+// the trimmed mean; std::nth_element + std::max_element for the median.
+
+float oracle_median(std::vector<float> col) {
+  const std::size_t n = col.size();
+  const std::size_t mid = n / 2;
+  std::nth_element(col.begin(), col.begin() + mid, col.end());
+  if (n % 2 == 1) return col[mid];
+  const float hi = col[mid];
+  const float lo = *std::max_element(col.begin(), col.begin() + mid);
+  return 0.5f * (lo + hi);
+}
+
+float oracle_trimmed_mean(std::vector<float> col, double beta) {
+  const std::size_t n = col.size();
+  auto trim = static_cast<std::size_t>(std::floor(beta * static_cast<double>(n)));
+  if (2 * trim >= n) trim = (n - 1) / 2;
+  const std::size_t keep = n - 2 * trim;
+  std::sort(col.begin(), col.end());
+  double acc = 0.0;
+  for (std::size_t k = trim; k < trim + keep; ++k) acc += col[k];
+  return static_cast<float>(acc / static_cast<double>(keep));
+}
+
+std::vector<float> column(const std::vector<agg::ModelVec>& updates, std::size_t c) {
+  std::vector<float> col;
+  for (const auto& u : updates) col.push_back(u[c]);
+  return col;
+}
+
+bool has_nan(const std::vector<float>& col) {
+  return std::any_of(col.begin(), col.end(), [](float v) { return std::isnan(v); });
+}
+
+bool mixes_signed_zeros(const std::vector<float>& col) {
+  bool pos = false, neg = false;
+  for (float v : col) {
+    if (v == 0.0f) (std::signbit(v) ? neg : pos) = true;
+  }
+  return pos && neg;
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof(float)) == 0; }
+
+enum class Data { kNormal, kDuplicates, kInfinities, kHuge, kSubnormals, kSignedZeros, kNan };
+
+float draw(Data data, util::Rng& rng) {
+  static constexpr float kInf = std::numeric_limits<float>::infinity();
+  switch (data) {
+    case Data::kNormal:
+      return static_cast<float>(rng.normal());
+    case Data::kDuplicates: {
+      static constexpr float kSet[] = {-1.5f, 0.25f, 3.0f};
+      return kSet[rng.below(3)];
+    }
+    case Data::kInfinities:
+      return rng.bernoulli(0.3) ? (rng.bernoulli(0.5) ? kInf : -kInf)
+                                : static_cast<float>(rng.normal());
+    case Data::kHuge:
+      return rng.bernoulli(0.5) ? (rng.bernoulli(0.5) ? 1e38f : -1e38f)
+                                : static_cast<float>(rng.normal());
+    case Data::kSubnormals:
+      return static_cast<float>(rng.normal() * 1e-40);
+    case Data::kSignedZeros:
+      return rng.bernoulli(0.7) ? (rng.bernoulli(0.5) ? 0.0f : -0.0f)
+                                : static_cast<float>(rng.normal());
+    case Data::kNan:
+      return rng.bernoulli(0.1) ? std::numeric_limits<float>::quiet_NaN()
+                                : static_cast<float>(rng.normal());
+  }
+  return 0.0f;
+}
+
+std::vector<agg::ModelVec> draw_updates(Data data, std::size_t n, std::size_t dim,
+                                        std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<agg::ModelVec> updates(n, agg::ModelVec(dim));
+  for (auto& u : updates) {
+    for (float& v : u) v = draw(data, rng);
+  }
+  return updates;
+}
+
+const std::vector<std::size_t> kNetworkSizes = [] {
+  std::vector<std::size_t> ns;
+  for (std::size_t n = 1; n <= 33; ++n) ns.push_back(n);
+  for (std::size_t n : {64, 100, 256}) ns.push_back(n);
+  return ns;
+}();
+
+const std::vector<std::size_t> kTileDims = {1, 3, kern::kSortTile - 1, kern::kSortTile + 1,
+                                            3 * kern::kSortTile + 5};
+
+/// Every (n, d, rule, threads) of the sweep against the oracle, under the
+/// agg/median.hpp contract: bitwise, except == where +0 and -0 meet; NaN
+/// columns have no oracle and must only repeat bitwise across calls and
+/// thread counts.
+void sweep_against_oracle(Data data) {
+  std::uint64_t seed = 1;
+  for (std::size_t n : kNetworkSizes) {
+    for (std::size_t dim : kTileDims) {
+      const auto updates = draw_updates(data, n, dim, seed++);
+      for (double beta : {-1.0, 0.1, 0.25, 0.45}) {  // -1: the median
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " d=" << dim << " beta=" << beta);
+        const bool median = beta < 0.0;
+        auto rule = [&](std::size_t threads) {
+          return agg::make_aggregator(median ? "median" : "trimmed_mean",
+                                      median ? 0.25 : beta, threads);
+        };
+        const auto first = rule(1)->aggregate(updates);
+        ASSERT_EQ(first.size(), dim);
+        for (std::size_t threads : {1, 2, 8}) {
+          SCOPED_TRACE(threads);
+          const auto out = rule(threads)->aggregate(updates);
+          ASSERT_EQ(std::memcmp(out.data(), first.data(), dim * sizeof(float)), 0);
+        }
+        for (std::size_t c = 0; c < dim; ++c) {
+          const auto col = column(updates, c);
+          if (has_nan(col)) continue;
+          const float want = median ? oracle_median(col) : oracle_trimmed_mean(col, beta);
+          if (mixes_signed_zeros(col)) {
+            ASSERT_EQ(first[c], want) << "column " << c;
+          } else {
+            ASSERT_TRUE(same_bits(first[c], want))
+                << "column " << c << ": " << first[c] << " vs oracle " << want;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SortingNetwork, ZeroOnePrincipleUpTo16) {
+  // A comparator network sorts every input iff it sorts every 0/1 input.
+  // The tile sorts kSortTile inputs at once: column c of batch b is the bit
+  // pattern b * kSortTile + c.
+  for (std::size_t n = 1; n <= 16; ++n) {
+    SCOPED_TRACE(n);
+    const auto net = kern::sorting_network(n);
+    for (const auto& cmp : net) ASSERT_LT(cmp.lo, cmp.hi);
+    std::vector<float> tile(n * kern::kSortTile);
+    const std::size_t patterns = std::size_t{1} << n;
+    for (std::size_t b = 0; b * kern::kSortTile < patterns; ++b) {
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < kern::kSortTile; ++c) {
+          const std::size_t bits = (b * kern::kSortTile + c) % patterns;
+          tile[r * kern::kSortTile + c] = static_cast<float>((bits >> r) & 1);
+        }
+      }
+      kern::sort_tile_columns(tile.data(), net.data(), net.size());
+      for (std::size_t r = 1; r < n; ++r) {
+        for (std::size_t c = 0; c < kern::kSortTile; ++c) {
+          ASSERT_LE(tile[(r - 1) * kern::kSortTile + c], tile[r * kern::kSortTile + c])
+              << "pattern " << (b * kern::kSortTile + c) % patterns;
+        }
+      }
+    }
+  }
+}
+
+TEST(SortingNetwork, NormalValuesMatchOracle) { sweep_against_oracle(Data::kNormal); }
+TEST(SortingNetwork, HeavyDuplicatesMatchOracle) { sweep_against_oracle(Data::kDuplicates); }
+TEST(SortingNetwork, InfinitiesMatchOracle) { sweep_against_oracle(Data::kInfinities); }
+TEST(SortingNetwork, HugeValuesMatchOracle) { sweep_against_oracle(Data::kHuge); }
+TEST(SortingNetwork, SubnormalsMatchOracle) { sweep_against_oracle(Data::kSubnormals); }
+TEST(SortingNetwork, SignedZerosCompareEqualToOracle) {
+  sweep_against_oracle(Data::kSignedZeros);
+}
+TEST(SortingNetwork, NanColumnsRepeatAcrossCallsAndThreads) {
+  sweep_against_oracle(Data::kNan);
+}
+
+TEST(SortingNetwork, ColumnsStayPermutationsWithZerosAndNan) {
+  // The conditional swap never duplicates or drops a value: after sorting,
+  // each column holds exactly the bit patterns it started with.
+  const std::size_t n = 23;
+  const auto net = kern::sorting_network(n);
+  util::Rng rng(4);
+  std::vector<float> tile(n * kern::kSortTile);
+  for (float& v : tile) {
+    v = draw(rng.bernoulli(0.5) ? Data::kSignedZeros : Data::kNan, rng);
+  }
+  const auto before = tile;
+  kern::sort_tile_columns(tile.data(), net.data(), net.size());
+  auto bits = [&](const std::vector<float>& t, std::size_t c) {
+    std::vector<std::uint32_t> out(n);
+    for (std::size_t r = 0; r < n; ++r) std::memcpy(&out[r], &t[r * kern::kSortTile + c], 4);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (std::size_t c = 0; c < kern::kSortTile; ++c) EXPECT_EQ(bits(tile, c), bits(before, c));
 }
 
 }  // namespace
